@@ -1,10 +1,11 @@
 # TD-NUCA reproduction — build / test / CI entry points.
 #
 #   make ci          everything a PR must pass: build, vet, lint, tests,
-#                    race, one-iteration benchmark smoke
+#                    race, one-iteration benchmark smoke, the bench/
+#                    module's smoke test
 #   make lint        go vet + tdnuca-lint, the repo's own static-analysis
-#                    suite (determinism / hot-path allocation / units /
-#                    shardsafe flight isolation; DESIGN.md §9, §14)
+#                    suite (determinism / hot-path allocation / units;
+#                    DESIGN.md §9)
 #   make lint-timing lint under a wall-clock budget: the analyzer must
 #                    stay fast enough to run on every PR
 #   make race        race detector over the concurrent harness and the
@@ -12,6 +13,9 @@
 #   make bench       measure the simulator-core benchmarks and write the
 #                    machine-readable BENCH_simcore.json
 #   make bench-quick one iteration of every benchmark (compile + smoke)
+#   make bench-smoke the end-to-end benchmark module's own tests (bench/,
+#                    the harness bench/run.sh builds), run with that
+#                    script's hermetic Go environment
 #   make trace-smoke one traced run through the experiments CLI: writes
 #                    and validates the Chrome trace + interval series and
 #                    checks the cycle stack sums to cores x makespan
@@ -21,32 +25,28 @@
 #                    digests, cross-policy access-set equality) plus one
 #                    CLI run of a generated workload on the 4x4 and 8x8
 #                    meshes
-#   make pdes-smoke  conservative-PDES equivalence: worker counts
-#                    {1,2,4,8} x policies x meshes must digest
-#                    identically, the golden suite must reproduce at
-#                    SimWorkers=8, and one CLI suite runs at
-#                    -sim-workers 8
 #   make serve-smoke the experiment service end to end: the in-process
 #                    load-test battery submits a suite twice from
 #                    concurrent clients and asserts the second pass is
 #                    all cache hits with payload digests byte-identical
 #                    to direct harness runs, plus the raced drain /
-#                    cache / SIGTERM package tests (DESIGN.md §15)
-#   make chaos-smoke the chaos-hardened stack (DESIGN.md §16): raced
+#                    cache / SIGTERM package tests (DESIGN.md §14)
+#   make chaos-smoke the chaos-hardened stack (DESIGN.md §15): raced
 #                    cache-integrity, fault-injection and retrying-client
 #                    tests, then the tdnuca-load soak — 8 clients x 1000
 #                    jobs through seeded severity-2 chaos, asserting
 #                    exactly-once simulation, byte fidelity against
 #                    direct runs, quarantine of corrupted cache entries
 #                    and a leak-free drain
-#   make fuzz-smoke  short fuzz of the workload-generator name parser
-#                    and validator (seed corpus always runs under test)
+#   make fuzz-smoke  short fuzzes of the workload-generator name parser
+#                    and validator and of the service's job-spec boundary
+#                    (seed corpora always run under test)
 #   make golden      refresh the golden suite digests (healthy, degraded
 #                    and generated) after an intentional behavioral change
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-timing bench bench-quick trace-smoke faults-smoke gen-smoke pdes-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet lint lint-timing bench bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -55,27 +55,25 @@ test:
 	$(GO) test ./...
 
 # The parallel suite runner fans independent machines/runtimes out across
-# goroutines, and the conservative PDES engine runs task flights of one
-# run on a worker pool; the race detector over these packages is the
-# proof that no unsynchronized shared state sneaks back in (e.g. the old
-# package-level WatchBlock). The harness tests include the degraded
-# (fault-injected) parallel suite and the SimWorkers equivalence table,
-# so mid-run reconfiguration and in-run flights are raced too.
+# goroutines (one machine per run, never shared); the race detector over
+# these packages is the proof that no unsynchronized shared state sneaks
+# back in (e.g. the old package-level WatchBlock). The harness tests
+# include the degraded (fault-injected) parallel suite, so mid-run
+# reconfiguration is raced too.
 race:
-	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/sim/pdes ./internal/serve ./internal/chaos ./internal/client
+	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/serve ./internal/chaos ./internal/client
 
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzer: determinism, hot-path allocation,
-# config/units and shardsafe flight-isolation invariants (DESIGN.md §9,
-# §14). Exits non-zero on findings; add -json for the machine-readable
-# report (schema in EXPERIMENTS.md).
+# The repo's own analyzer: determinism, hot-path allocation and
+# config/units invariants (DESIGN.md §9). Exits non-zero on findings; add
+# -json for the machine-readable report (schema in EXPERIMENTS.md).
 lint: vet
 	$(GO) run ./cmd/tdnuca-lint
 
 # The same analyzer under a generous wall-clock budget: the whole suite
-# (load + type-check + four passes over the module) must stay cheap
+# (load + type-check + three passes over the module) must stay cheap
 # enough to run on every PR. 60s is ~30x the current cost on a loaded
 # CI worker; tripping it means a pass went superlinear.
 lint-timing:
@@ -93,6 +91,14 @@ bench:
 # cheap enough for CI.
 bench-quick:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
+
+# The benchmark module (bench/, a separate module that drives the
+# simulator through its exported and internal APIs): its tests run every
+# workload once at a small size, proving a change to machine, taskrt or
+# serve has not broken the benchmark build or its checks. The
+# environment is bench/run.sh's: no workspace, no proxy, local toolchain.
+bench-smoke:
+	cd bench && GOWORK=off GOPROXY=off GOFLAGS= GOTOOLCHAIN=local $(GO) test ./...
 
 # End-to-end proof of the observability layer: the CLI validates the
 # written Chrome JSON (parse + slice count) and the cycle-stack sum
@@ -116,16 +122,7 @@ gen-smoke:
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -check -factor 0.0078125
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
-# The conservative-PDES equivalence layer (DESIGN.md §13): worker-count
-# invariance across policies, meshes, tracing, fault injection and the
-# golden suite, then one CLI suite at -sim-workers 8 proving the flag
-# end to end.
-pdes-smoke:
-	$(GO) test ./internal/harness -run 'TestSimWorkers'
-	$(GO) test ./internal/taskrt -run 'TestParallel'
-	$(GO) run ./cmd/tdnuca-experiments -sim-workers 8 -digest -factor 0.0078125 > /dev/null
-
-# The experiment-service layer (DESIGN.md §15): raced package tests for
+# The experiment-service layer (DESIGN.md §14): raced package tests for
 # the cache / drain / SIGTERM paths, then the selftest battery — the
 # full Table II suite submitted twice by 4 concurrent clients each,
 # asserting coalescing (one simulation per unique job), a 100% cache-hit
@@ -135,7 +132,7 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate'
 	$(GO) run ./cmd/tdnuca-serve -selftest
 
-# The chaos-hardened stack (DESIGN.md §16): raced integrity / chaos /
+# The chaos-hardened stack (DESIGN.md §15): raced integrity / chaos /
 # client packages (the corruption, stream-resume and idempotent-
 # resubmission tests), then the full soak — 8 concurrent retrying
 # clients push 1000 jobs through a seeded severity-2 fault-injecting
@@ -147,10 +144,12 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheCorrupt|TestCacheHeaderTamper|TestCacheIndexRebuilt|TestCacheFlushIncludesEvicted|TestCorruptEntryNeverServed'
 	$(GO) run -race ./cmd/tdnuca-load -clients 8 -jobs 1000 -severity 2 -factor 0.0078125 -out /tmp/tdnuca-load-report.json
 
-# Short fuzz of the generator's name parser/validator; the checked-in
-# seed corpus also runs on every plain `go test`.
+# Short fuzzes of the generator's name parser/validator and of the
+# service's job-spec boundary (decode, normalize, address, validate);
+# the seed corpora also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/workgen -run FuzzParseValidate -fuzz FuzzParseValidate -fuzztime 10s
+	$(GO) test ./internal/serve -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 10s
 
 # Refreshes every golden file: the healthy suite (golden_suite.txt), the
 # degraded suite (golden_faults.txt) and the generated differential
@@ -158,4 +157,4 @@ fuzz-smoke:
 golden:
 	$(GO) test ./internal/harness -run 'Golden|TestGeneratedGoldenDigests' -update
 
-ci: build lint lint-timing test race bench-quick trace-smoke faults-smoke gen-smoke pdes-smoke serve-smoke chaos-smoke
+ci: build lint lint-timing test race bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke

@@ -52,7 +52,6 @@ type Report struct {
 	GOOS       string             `json:"goos"`
 	GOARCH     string             `json:"goarch"`
 	NumCPU     int                `json:"num_cpu"`
-	SimWorkers int                `json:"sim_workers"`
 	Benchmarks map[string]Result  `json:"benchmarks"`
 	Baseline   map[string]Result  `json:"baseline"`
 	Derived    map[string]float64 `json:"derived"`
@@ -61,12 +60,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "BENCH_simcore.json", "output file (\"-\" for stdout)")
-	simWorkers := flag.Int("sim-workers", 1, "RT.SimWorkers setting the measured run used (recorded in the report)")
 	flag.Parse()
-	if *simWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "tdnuca-bench: -sim-workers must be >= 0 (got %d)\n", *simWorkers)
-		os.Exit(2)
-	}
 
 	results, err := parse(os.Stdin, os.Stdout)
 	if err != nil {
@@ -78,7 +72,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rep := buildReport(results, runtime.NumCPU(), *simWorkers)
+	rep := buildReport(results, runtime.NumCPU())
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -100,14 +94,13 @@ func main() {
 // buildReport derives the headline numbers from the parsed results.
 // numCPU is a parameter (not read from runtime here) so tests can pin
 // both the single-CPU and multi-CPU paths.
-func buildReport(results map[string]Result, numCPU, simWorkers int) Report {
+func buildReport(results map[string]Result, numCPU int) Report {
 	rep := Report{
 		Schema:     "tdnuca-bench/v1",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     numCPU,
-		SimWorkers: simWorkers,
 		Benchmarks: results,
 		Baseline:   baseline,
 		Derived:    map[string]float64{},

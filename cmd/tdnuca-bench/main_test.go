@@ -51,13 +51,13 @@ func TestParseExtractsResults(t *testing.T) {
 
 func TestBuildReportMultiCPU(t *testing.T) {
 	results := parseSample(t)
-	rep := buildReport(results, 4, 1)
+	rep := buildReport(results, 4)
 
 	if rep.Schema != "tdnuca-bench/v1" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if rep.NumCPU != 4 || rep.SimWorkers != 1 {
-		t.Fatalf("num_cpu=%d sim_workers=%d", rep.NumCPU, rep.SimWorkers)
+	if rep.NumCPU != 4 {
+		t.Fatalf("num_cpu=%d", rep.NumCPU)
 	}
 	if got := rep.Derived["ns_per_access"]; got != 82.5 {
 		t.Fatalf("ns_per_access = %v", got)
@@ -76,7 +76,7 @@ func TestBuildReportMultiCPU(t *testing.T) {
 
 func TestBuildReportSingleCPUOmitsParallelSpeedups(t *testing.T) {
 	results := parseSample(t)
-	rep := buildReport(results, 1, 1)
+	rep := buildReport(results, 1)
 
 	for _, key := range []string{"full_suite_parallel_speedup", "full_suite_parallel2_speedup"} {
 		if v, ok := rep.Derived[key]; ok {
@@ -101,7 +101,7 @@ func TestBuildReportSingleCPUNoParallelRunsNoNote(t *testing.T) {
 		"MemoryAccess": {NsPerOp: 80},
 		"FullSuite":    {NsPerOp: 3.0e9},
 	}
-	rep := buildReport(results, 1, 1)
+	rep := buildReport(results, 1)
 	if len(rep.Notes) != 0 {
 		t.Fatalf("notes = %v, want none when no parallel benchmarks ran", rep.Notes)
 	}
@@ -113,7 +113,7 @@ func TestBuildReportFallsBackToFullSuiteBaseline(t *testing.T) {
 		"FullSuite":          {NsPerOp: 3.0e9},
 		"FullSuiteParallel4": {NsPerOp: 1.5e9},
 	}
-	rep := buildReport(results, 8, 1)
+	rep := buildReport(results, 8)
 	if got := rep.Derived["full_suite_parallel_speedup"]; got != 2.0 {
 		t.Fatalf("full_suite_parallel_speedup = %v, want 2.0", got)
 	}

@@ -98,8 +98,6 @@ func main() {
 
 		genSpec = flag.String("gen", "", "run a generated workload under the core policies: knobs like seed=3,depth=8,width=16,fanout=4 (unset knobs keep defaults; schema in EXPERIMENTS.md)")
 		mesh    = flag.String("mesh", "", "override the mesh topology, e.g. 8x8 or 16x16 (scaled per-tile caches, corner memory controllers)")
-
-		simWorkers = flag.Int("sim-workers", 1, "conservative-PDES workers inside each simulated run (1 = sequential engine; >1 requires a configuration the conflict gate supports)")
 	)
 	flag.Parse()
 
@@ -115,24 +113,6 @@ func main() {
 	cfg.Factor = tdnuca.WorkloadFactor(*factor)
 	cfg.Seed = *seed
 	cfg.Arch.CheckInvariants = *check
-
-	// The conservative parallel engine (-sim-workers > 1) refuses
-	// configurations it cannot prove result-identical instead of
-	// silently falling back to the sequential engine: tracing needs one
-	// ordered event buffer and fault injection hooks every dispatch
-	// boundary, so both pin the run to -sim-workers=1 for now.
-	if *simWorkers < 0 {
-		fail(fmt.Errorf("-sim-workers must be >= 0 (got %d)", *simWorkers))
-	}
-	if *simWorkers > 1 {
-		if *traceSpec != "" {
-			fail(fmt.Errorf("-sim-workers=%d is not supported with -trace (tracing needs the sequential engine's single ordered event buffer); drop one of the flags", *simWorkers))
-		}
-		if *faultSpec != "" {
-			fail(fmt.Errorf("-sim-workers=%d is not supported with -faults (fault injection hooks every dispatch boundary, which requires the sequential engine); drop one of the flags", *simWorkers))
-		}
-	}
-	cfg.RT.SimWorkers = *simWorkers
 
 	if *mesh != "" {
 		w, h, err := parseMesh(*mesh)

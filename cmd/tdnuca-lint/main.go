@@ -1,6 +1,6 @@
 // Command tdnuca-lint runs the internal/analysis static-analysis suite
-// over the module: the determinism, hot-path allocation, config/units and
-// shardsafe flight-isolation passes described in DESIGN.md §9 and §14.
+// over the module: the determinism, hot-path allocation and config/units
+// passes described in DESIGN.md §9.
 //
 // Usage:
 //

@@ -1,4 +1,4 @@
-// Package analysis is the tdnuca-lint static-analysis suite: four
+// Package analysis is the tdnuca-lint static-analysis suite: three
 // stdlib-only passes (go/parser + go/types, no external tooling) that
 // guard the simulator's core invariants at the source level.
 //
@@ -10,15 +10,10 @@
 //	              transitively (the PR-2 zero-allocation property).
 //	units       — architectural latencies live in internal/arch; raw
 //	              integer literals as sim.Cycles elsewhere are flagged.
-//	shardsafe   — the PDES flight closure (everything reachable from the
-//	              taskrt Exec entry points) must stay shard-isolated: no
-//	              global writes, no writes outside the declared shard
-//	              surface, no synchronization outside internal/sim/pdes,
-//	              no calls escaping the analyzed closure (DESIGN.md §14).
 //
 // Suppressions use //tdnuca:allow(<rule>) <reason> directives; a
 // suppression without a reason is itself a finding, and so is one that
-// suppresses nothing. See DESIGN.md §9 and §14.
+// suppresses nothing. See DESIGN.md §9.
 package analysis
 
 // Run loads the module rooted at root and applies every pass, returning
@@ -34,7 +29,6 @@ func Run(root string) (*Report, error) {
 	findings = append(findings, determinismPass(prog, dirs)...)
 	findings = append(findings, hotpathPass(prog, dirs)...)
 	findings = append(findings, unitsPass(prog, dirs)...)
-	findings = append(findings, shardsafePass(prog, dirs)...)
 	// After every pass has had its chance to consult a suppression:
 	// anything still unused is dead weight.
 	findings = append(findings, dirs.staleAllows()...)

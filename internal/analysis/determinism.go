@@ -26,13 +26,11 @@ import (
 //	            order-sensitive). Simulation code draws from the seeded
 //	            sim.RNG instead. Simulation packages only.
 //	goroutine — `go` statements anywhere except the sanctioned worker
-//	            pools: the harness run pool (internal/harness/parallel.go),
-//	            the experiment service's pool (internal/serve/pool.go)
-//	            and the conservative parallel engine (internal/sim/pdes),
-//	            the audited places where concurrency is proven equivalent
-//	            to sequential execution (or, for the service, where every
-//	            simulation it spawns is itself a deterministic harness
-//	            run). Simulation packages only.
+//	            pools: the harness run pool (internal/harness/parallel.go)
+//	            and the experiment service's pool (internal/serve/pool.go),
+//	            where every goroutine runs whole, independent simulations
+//	            (each a deterministic harness run on its own machine).
+//	            Simulation packages only.
 //	staleallow — a goroutineAllowlist entry that no longer matches any go
 //	            statement. The allowlist is verified, not hand-trusted: a
 //	            sanctioned location that stops spawning loses its sanction,
@@ -75,13 +73,12 @@ type goAllowEntry struct {
 }
 
 // goroutineAllowlist returns the sanctioned worker-pool locations: the
-// harness run pool and the conservative parallel engine. Fresh records
-// per run, so match bookkeeping never leaks between Run calls.
+// harness run pool and the experiment service's pool. Fresh records per
+// run, so match bookkeeping never leaks between Run calls.
 func goroutineAllowlist() []*goAllowEntry {
 	return []*goAllowEntry{
 		{pkg: "internal/harness", file: "parallel.go"},
 		{pkg: "internal/serve", file: "pool.go"},
-		{pkg: "internal/sim/pdes"},
 	}
 }
 
@@ -191,7 +188,7 @@ func (w *detWalker) visit(n ast.Node) bool {
 	case *ast.GoStmt:
 		if w.sim && !w.goAllowedHere(n) {
 			w.report(n.Pos(), "goroutine",
-				"goroutine spawned outside the sanctioned worker pools (internal/harness/parallel.go, internal/serve/pool.go, internal/sim/pdes); simulation code must stay single-threaded")
+				"goroutine spawned outside the sanctioned worker pools (internal/harness/parallel.go, internal/serve/pool.go); simulation code must stay single-threaded")
 		}
 	case *ast.Ident:
 		if w.sim {
@@ -202,11 +199,8 @@ func (w *detWalker) visit(n ast.Node) bool {
 }
 
 // goAllowedHere implements the verified goroutine exemptions: the
-// harness worker pool file and the conservative parallel engine, whose
-// ordered-join discipline is what makes worker concurrency equivalent to
-// sequential execution (see internal/sim/pdes package doc). A hit marks
-// the entry live; entries that never hit are reported stale after the
-// pass.
+// worker-pool files of goroutineAllowlist. A hit marks the entry live;
+// entries that never hit are reported stale after the pass.
 func (w *detWalker) goAllowedHere(n *ast.GoStmt) bool {
 	for _, e := range w.allow {
 		if w.pkg.Rel != e.pkg {

@@ -6,19 +6,11 @@ import (
 	"strings"
 )
 
-// Directive syntax (DESIGN.md §9, §14):
+// Directive syntax (DESIGN.md §9):
 //
 //	//tdnuca:hotpath
 //	    On a function's doc comment: the function must stay
 //	    allocation-free, transitively, on every resolvable call path.
-//
-//	//tdnuca:shardsafe
-//	    On a function's doc comment: the function is an audited part of
-//	    the declared shard surface — the shardsafe pass exempts its
-//	    shared-state writes and synchronization, but still descends into
-//	    it and still reports global writes and closure escapes. An
-//	    annotation that is unreachable from the flight entry points, or
-//	    that exempts nothing, is itself a finding (rule "stale").
 //
 //	//tdnuca:allow(<rule>) <reason>
 //	    Suppresses findings of <rule>. On a function's doc comment it
@@ -38,7 +30,6 @@ var knownRules = map[string]bool{
 	"goroutine": true,
 	"alloc":     true,
 	"latency":   true,
-	"shardsafe": true,
 }
 
 // allowUse is one parsed //tdnuca:allow directive plus whether any pass
@@ -55,27 +46,12 @@ type allowUse struct {
 	used bool
 }
 
-// shardAnno is one //tdnuca:shardsafe function annotation plus the
-// bookkeeping the shardsafe pass needs to prove it is still earning its
-// keep: whether the flight closure reaches the function at all, and how
-// many findings the annotation exempted.
-type shardAnno struct {
-	file     string
-	line     int
-	col      int
-	reached  bool
-	exempted int
-}
-
 // directives is the parsed directive set of a whole Program.
 type directives struct {
 	prog *Program
 
 	// hotFuncs are the //tdnuca:hotpath roots in declaration order.
 	hotFuncs []*types.Func
-
-	// shardFuncs are the //tdnuca:shardsafe-annotated declarations.
-	shardFuncs map[*ast.FuncDecl]*shardAnno
 
 	// funcAllow exempts entire functions: decl -> rule -> record.
 	funcAllow map[*ast.FuncDecl]map[string]*allowUse
@@ -96,10 +72,9 @@ type directives struct {
 // collectDirectives parses every //tdnuca: comment in the program.
 func collectDirectives(prog *Program) *directives {
 	d := &directives{
-		prog:       prog,
-		shardFuncs: make(map[*ast.FuncDecl]*shardAnno),
-		funcAllow:  make(map[*ast.FuncDecl]map[string]*allowUse),
-		lineAllow:  make(map[string]map[int]map[string]*allowUse),
+		prog:      prog,
+		funcAllow: make(map[*ast.FuncDecl]map[string]*allowUse),
+		lineAllow: make(map[string]map[int]map[string]*allowUse),
 	}
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
@@ -135,7 +110,7 @@ func (d *directives) parseComment(pkg *Package, c *ast.Comment) {
 	file, line, col := d.prog.Position(c.Pos())
 	text = strings.TrimSpace(text)
 	switch {
-	case text == "hotpath" || text == "shardsafe":
+	case text == "hotpath":
 		// Validated in collectFuncDoc; a stray directive that is not a
 		// function doc comment is caught there by never matching.
 	case strings.HasPrefix(text, "allow("):
@@ -161,7 +136,7 @@ func (d *directives) parseComment(pkg *Package, c *ast.Comment) {
 	default:
 		d.findings = append(d.findings, Finding{
 			Pass: "directive", Rule: "syntax", File: file, Line: line, Col: col,
-			Message: "unknown directive //tdnuca:" + text + "; want hotpath, shardsafe or allow(<rule>) <reason>",
+			Message: "unknown directive //tdnuca:" + text + "; want hotpath or allow(<rule>) <reason>",
 		})
 	}
 }
@@ -178,11 +153,6 @@ func (d *directives) collectFuncDoc(pkg *Package, fd *ast.FuncDecl) {
 			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				d.hotFuncs = append(d.hotFuncs, fn)
 			}
-			continue
-		}
-		if text == "shardsafe" {
-			file, line, col := d.prog.Position(c.Pos())
-			d.shardFuncs[fd] = &shardAnno{file: file, line: line, col: col}
 			continue
 		}
 		if rule, reason, ok := splitAllow(text); ok && knownRules[rule] && reason != "" {

@@ -9,8 +9,8 @@ import (
 // The JSON field names are the stable schema consumed by tooling that
 // trends finding counts (documented in EXPERIMENTS.md).
 type Finding struct {
-	Pass    string `json:"pass"`           // "determinism", "hotpath", "units", "shardsafe", "directive"
-	Rule    string `json:"rule"`           // "maprange", "wallclock", "mathrand", "goroutine", "staleallow", "alloc", "latency", "globalwrite", "sharedwrite", "sync", "escape", "stale", "syntax"
+	Pass    string `json:"pass"`           // "determinism", "hotpath", "units", "directive"
+	Rule    string `json:"rule"`           // "maprange", "wallclock", "mathrand", "goroutine", "staleallow", "alloc", "latency", "stale", "syntax"
 	File    string `json:"file"`           // module-root-relative path
 	Line    int    `json:"line"`           // 1-based
 	Col     int    `json:"col"`            // 1-based

@@ -46,3 +46,15 @@ func debugDump(x []int) {
 	b := make([]byte, len(x))
 	os.Stderr.Write(b)
 }
+
+// StaleLine carries a line-scoped allow that suppresses nothing.
+func StaleLine() int64 {
+	//tdnuca:allow(wallclock) fixture: nothing on the next line reads the clock
+	// want-above directive/stale
+	return 0
+}
+
+// StaleFunc carries a function-scoped allow that suppresses nothing.
+//
+//tdnuca:allow(mathrand) fixture: the body draws no random numbers
+func StaleFunc() {} // want-above directive/stale

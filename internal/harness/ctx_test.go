@@ -31,8 +31,7 @@ func TestJobValidateErrorFormat(t *testing.T) {
 	bad := cfg
 	bad.Arch.ClusterWidth, bad.Arch.ClusterHeight = 3, 3
 	for name, j := range map[string]Job{
-		"arch":    {Bench: "MD5", Kind: TDNUCA, Cfg: bad},
-		"workers": {Bench: "MD5", Kind: SNUCA, Cfg: func() Config { c := cfg; c.RT.SimWorkers = -1; return c }()},
+		"arch": {Bench: "MD5", Kind: TDNUCA, Cfg: bad},
 	} {
 		err := j.Validate()
 		if err == nil {
@@ -107,21 +106,6 @@ func TestRunCtxMidRunCancelSurfacesStallCanceled(t *testing.T) {
 	if !strings.Contains(err.Error(), "harness: MD5 under S-NUCA") {
 		t.Errorf("err = %v, missing job identification", err)
 	}
-}
-
-func TestRunCtxMidRunCancelParallelSim(t *testing.T) {
-	cfg := fastCfg()
-	cfg.RT.SimWorkers = 4
-	before := runtime.NumGoroutine()
-	ctx := &countdownCtx{Context: context.Background()}
-	ctx.n.Store(10)
-	_, err := RunCtx(ctx, "MD5", SNUCA, cfg)
-	var se *taskrt.StallError
-	if err == nil || !errors.As(err, &se) || se.Kind != taskrt.StallCanceled {
-		t.Errorf("err = %v, want a wrapped StallCanceled StallError", err)
-	}
-	// The PDES engine must join its outstanding flights on the way out.
-	assertNoGoroutineLeak(t, before)
 }
 
 // TestRunManyCtxCancelsInFlightOnFirstFailure is the regression test for

@@ -213,9 +213,6 @@ func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *tra
 	if err := validatePolicy(kind, &cfg.Arch); err != nil {
 		return Result{}, nil, faults.Stats{}, err
 	}
-	if cfg.RT.SimWorkers < 0 {
-		return Result{}, nil, faults.Stats{}, fmt.Errorf("harness: RT.SimWorkers must be >= 0 (got %d)", cfg.RT.SimWorkers)
-	}
 	m, err := machine.New(&cfg.Arch, cfg.FragEvery, cfg.Seed)
 	if err != nil {
 		return Result{}, nil, faults.Stats{}, err

@@ -49,9 +49,6 @@ func (j Job) validate() error {
 	if err := j.Cfg.Arch.Validate(); err != nil {
 		return fmt.Errorf("harness: %s under %s: %w", j.Bench, j.Kind, err)
 	}
-	if j.Cfg.RT.SimWorkers < 0 {
-		return fmt.Errorf("harness: %s under %s: RT.SimWorkers must be >= 0 (got %d)", j.Bench, j.Kind, j.Cfg.RT.SimWorkers)
-	}
 	return nil
 }
 

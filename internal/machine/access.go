@@ -30,12 +30,6 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 	if m.policy == nil {
 		panic("machine: Access before SetPolicy")
 	}
-	if m.guard != nil {
-		// Parallel flight: the access must stay inside the granted reach
-		// and must not fault in a page (checked before translation, which
-		// would allocate on first touch).
-		m.guardCheck(core, va)
-	}
 	m.met.Accesses++
 	lat := sim.Cycles(m.Cfg.TLBLatency)
 	if !m.TLBs[core].Access(uint64(va) / uint64(m.Cfg.PageBytes)) {
@@ -45,7 +39,7 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 
 	lat += sim.Cycles(m.Cfg.L1Latency)
 	m.cs.L1 += lat // translation + private-cache lookup, charged on every access
-	st := m.l1Access(core, pa)
+	st := m.L1s[core].Access(pa)
 	if m.tr != nil {
 		if st.IsValid() {
 			m.tr.Emit(trace.EvL1Hit, now, core, uint64(pa), 0)
@@ -67,10 +61,9 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 		if write {
 			// Silent E->M upgrade: no coherence action, but the page-table
 			// dirty bit is set, so an OS-based policy still observes it.
-			m.l1SetState(core, pa, cache.Modified)
+			m.L1s[core].SetState(pa, cache.Modified)
 			m.goldenWrite(core, pa)
 			if m.writeObs != nil {
-				//tdnuca:allow(shardsafe) parallelOK admits flights only under NopHooks, so writeObs is nil whenever this runs on a shard view
 				w := m.writeObs.ObserveWrite(AccessContext{Core: core, Proc: m.coreProc[core], VA: va, PA: pa, Write: true})
 				lat += w
 				m.cs.Manager += w
@@ -95,7 +88,6 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 	p := m.policyLookup()
 	lat += p
 	m.cs.RRT += p
-	//tdnuca:allow(shardsafe) parallelOK admits only policies whose ConcurrencySafe() is true: pure placement math with no mutable policy state
 	pl, extra := m.policy.Place(AccessContext{Core: core, Proc: m.coreProc[core], VA: va, PA: pa, Write: write})
 	lat += extra
 	m.cs.Manager += extra
@@ -124,8 +116,6 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 }
 
 // policyLookup charges the RRT lookup penalty and accounts its energy.
-//
-//tdnuca:allow(shardsafe) parallelOK admits only ConcurrencySafe policies; UsesRRT and LookupPenalty are pure accessors on them
 func (m *Machine) policyLookup() sim.Cycles {
 	if m.policy.UsesRRT() {
 		m.met.RRTLookups++
@@ -154,15 +144,6 @@ func (m *Machine) bypassFill(core int, pa amath.Addr, now sim.Cycles) sim.Cycles
 
 // bankFill services an L1 miss at an LLC bank, handling the directory
 // actions for MESI, and returns the latency and the L1 fill state.
-//
-// Audited for concurrent flights: the directory writes below touch only
-// the entry for this access's block, and the reach discipline guarantees
-// concurrent flights touch disjoint blocks — so per-bank directory state
-// never races between flights, and the fold replays nothing (directory
-// contents live on the shared Machine, mutated identically regardless of
-// which view ran the access).
-//
-//tdnuca:shardsafe
 func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now sim.Cycles) (sim.Cycles, cache.State) {
 	hops, reqLat := m.Net.SendCtrlAt(core, bank, now)
 	m.chargeNoC(hops, reqLat)
@@ -236,12 +217,6 @@ func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now si
 
 // upgrade handles a write hit on a Shared L1 line: the core asks the home
 // bank to invalidate all other copies and grant ownership.
-//
-// Audited for concurrent flights: directory-entry writes are confined to
-// this access's block, which the reach discipline keeps disjoint across
-// flights (see bankFill).
-//
-//tdnuca:shardsafe
 func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycles {
 	m.met.Upgrades++
 	if m.tr != nil {
@@ -249,14 +224,13 @@ func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycle
 	}
 	lat := m.policyLookup()
 	m.cs.RRT += lat
-	//tdnuca:allow(shardsafe) parallelOK admits only policies whose ConcurrencySafe() is true: pure placement math with no mutable policy state
 	pl, extra := m.policy.Place(AccessContext{Core: core, Proc: m.coreProc[core], VA: va, PA: pa, Write: true})
 	lat += extra
 	m.cs.Manager += extra
 	if pl.Kind == Bypass {
 		// The dependency is no longer LLC-mapped; the runtime guarantees
 		// exclusivity, so the local copy simply becomes Modified.
-		m.l1SetState(core, pa, cache.Modified)
+		m.L1s[core].SetState(pa, cache.Modified)
 		return lat
 	}
 	bank := m.ResolveBank(pl, pa)
@@ -290,7 +264,7 @@ func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycle
 	lat += m.invalidateCopies(bank, pa, e, core, now+lat)
 	e.sharers = arch.Mask{}
 	e.owner = core
-	if !m.l1SetState(core, pa, cache.Modified) {
+	if !m.L1s[core].SetState(pa, cache.Modified) {
 		// The policy's transition flush (e.g. R-NUCA demoting a written
 		// read-only page) removed this core's own copy while deciding the
 		// placement; refill it as a write miss so the store lands in an
@@ -312,7 +286,7 @@ func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycle
 // according to the victim's own placement (the RRT is consulted on
 // writebacks too, per Sec. III-B3).
 func (m *Machine) insertL1(core int, pa amath.Addr, st cache.State, now sim.Cycles) {
-	v := m.l1Insert(core, pa, st)
+	v := m.L1s[core].Insert(pa, st)
 	m.verifyL1Fill(core, pa)
 	if !v.Occurred {
 		return
@@ -329,19 +303,12 @@ func (m *Machine) insertL1(core int, pa amath.Addr, st cache.State, now sim.Cycl
 // writebackFromL1 sends a dirty L1 victim to its home (bank or DRAM).
 // Writebacks are off the demand critical path, but their traffic still
 // occupies links under the contention model.
-//
-// Audited for concurrent flights: the owner-clear below touches only the
-// victim block's directory entry, and victims stay inside the flight's
-// granted reach, so entries never race across flights (see bankFill).
-//
-//tdnuca:shardsafe
 func (m *Machine) writebackFromL1(core int, pa amath.Addr, now sim.Cycles) {
 	m.met.L1Writebacks++
 	if m.tr != nil {
 		m.tr.Emit(trace.EvL1Writeback, now, core, uint64(pa), 0)
 	}
 	m.policyLookup() // RRT consulted on writebacks; latency is off the critical path
-	//tdnuca:allow(shardsafe) parallelOK admits only policies whose ConcurrencySafe() is true: pure placement math with no mutable policy state
 	pl, _ := m.policy.Place(AccessContext{Core: core, Proc: m.coreProc[core], PA: pa, Write: true, Writeback: true})
 	if pl.Kind == Bypass {
 		mc := m.nearestMC[core]

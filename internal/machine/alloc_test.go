@@ -187,26 +187,6 @@ func (p *typePrinter) print(e ast.Expr) error {
 	return &os.PathError{Op: "print", Path: "receiver", Err: os.ErrInvalid}
 }
 
-// TestShardFoldAllocFree pins the parallel fold path: once a view exists
-// and its access state is warm, running an access on the view and folding
-// it back with AbsorbShard (Metrics.Add, CycleStack.Add, noc.Absorb and
-// the counter re-zeroing) allocates nothing — the fold runs once per
-// flight, on the coordinator's critical path between joins.
-func TestShardFoldAllocFree(t *testing.T) {
-	m := benchMachine(t)
-	m.EnterParallel()
-	v := m.ShardView()
-	const va = amath.Addr(0x10000)
-	v.AccessAt(0, va, true, 0) // warm: TLB, translation memo, L1, LLC, directory
-
-	if n := testing.AllocsPerRun(1000, func() {
-		v.AccessAt(0, va, false, 0)
-		m.AbsorbShard(v)
-	}); n != 0 {
-		t.Errorf("view access + fold allocates %v allocs/op, want 0", n)
-	}
-}
-
 // TestHotpathAnnotationSet pins the //tdnuca:hotpath annotation set to
 // exactly the functions the AllocsPerRun tests in this file and the vm
 // sweeps above exercise. Annotating a new root without extending the
@@ -217,7 +197,6 @@ func TestHotpathAnnotationSet(t *testing.T) {
 	want := []string{
 		"cache.(*Cache).Access",
 		"cache.(*Cache).Insert",
-		"machine.(*Machine).AbsorbShard",
 		"machine.(*Machine).Access",
 		"machine.(*Machine).AccessAt",
 		"machine.(*dirTable).get",

@@ -25,11 +25,6 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 		invHops, invLat := m.Net.SendCtrlAt(bank, core, now)
 		rt := invLat
 		rtTopo := sim.Cycles(m.Cfg.HopLatency(invHops))
-		// Cross-L1 site: under the parallel engine the target core is
-		// provably idle or holds nothing homed on this bank, but a stale
-		// sharer bit can still point here — the lock orders this probe
-		// against the owner core's own cache operations.
-		m.lockL1(core)
 		st := m.L1s[core].Probe(pa)
 		if st.IsValid() {
 			if st == cache.Modified {
@@ -57,7 +52,6 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 			rt += ackLat
 			rtTopo += sim.Cycles(m.Cfg.HopLatency(ackHops))
 		}
-		m.unlockL1(core)
 		if rt > worst {
 			worst = rt
 			worstTopo = rtTopo
@@ -77,12 +71,6 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 // is written back (the bank's data becomes current) and the owner
 // downgrades to Shared. A clean or silently-evicted copy just
 // acknowledges. The directory entry is downgraded to the sharer form.
-//
-// Audited for concurrent flights: the entry writes are confined to this
-// access's block (reach-disjoint across flights, see bankFill), and the
-// cross-L1 probe of the stale owner is serialized by lockL1.
-//
-//tdnuca:shardsafe
 func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.Cycles) sim.Cycles {
 	owner := e.owner
 	fwdHops, fwdLat := m.Net.SendCtrlAt(bank, owner, now)
@@ -92,9 +80,6 @@ func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.C
 	if m.tr != nil {
 		m.tr.Emit(trace.EvDirForward, now, owner, uint64(pa), int32(bank))
 	}
-	// Cross-L1 site: see invalidateCopies on why the lock is needed even
-	// though the reach discipline keeps real owners idle.
-	m.lockL1(owner)
 	switch m.L1s[owner].Probe(pa) {
 	case cache.Modified:
 		m.verifyOwnerWriteback(owner, bank, pa)
@@ -117,7 +102,6 @@ func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.C
 		m.chargeNoC(ackHops, ackLat)
 		lat += ackLat
 	}
-	m.unlockL1(owner)
 	e.owner = -1
 	return lat
 }
@@ -165,8 +149,6 @@ func (m *Machine) fillBank(bank int, pa amath.Addr, st cache.State) {
 		//tdnuca:allow(alloc) non-escaping closure over locals: inlined/stack-allocated, confirmed by the AllocsPerRun tests
 		backInv := func(core int) {
 			m.Net.SendCtrl(bank, core)
-			// Cross-L1 site: see invalidateCopies on the locking rule.
-			m.lockL1(core)
 			cst := m.L1s[core].Probe(v.Addr)
 			if cst.IsValid() {
 				if cst == cache.Modified {
@@ -183,7 +165,6 @@ func (m *Machine) fillBank(bank int, pa amath.Addr, st cache.State) {
 			} else {
 				m.Net.SendCtrl(core, bank)
 			}
-			m.unlockL1(core)
 		}
 		if e.owner >= 0 {
 			backInv(e.owner)

@@ -68,12 +68,7 @@ func (d *dirTable) get(block uint64) *dirEntry {
 // if the block is untracked — the probe-then-insert pattern of the fill
 // and writeback paths, done with a single hash and probe sequence.
 //
-// Audited for concurrent flights: the reach discipline keeps concurrent
-// flights on disjoint blocks, and each bank's table is reached only
-// through that bank's accesses, so probe-chain mutations never race.
-//
 //tdnuca:hotpath
-//tdnuca:shardsafe
 func (d *dirTable) ref(block uint64) *dirEntry {
 	if len(d.slots) == 0 {
 		d.grow()
@@ -94,11 +89,6 @@ func (d *dirTable) ref(block uint64) *dirEntry {
 
 // del removes the block's entry if present, backward-shifting the
 // following probe chain so no tombstones accumulate.
-//
-// Audited for concurrent flights: see ref — per-bank tables mutate only
-// under accesses to that bank, on reach-disjoint blocks.
-//
-//tdnuca:shardsafe
 func (d *dirTable) del(block uint64) {
 	if len(d.slots) == 0 {
 		return
@@ -128,11 +118,7 @@ func (d *dirTable) del(block uint64) {
 
 // grow doubles the open-addressed table and rehashes the live slots.
 //
-// Audited for concurrent flights: see ref — growth happens under a
-// single flight's access to this bank, never concurrently.
-//
 //tdnuca:allow(alloc) geometric growth: O(log n) allocations over a whole run, amortized to zero per access
-//tdnuca:shardsafe
 func (d *dirTable) grow() {
 	old := d.slots
 	n := 2 * len(old)

@@ -198,15 +198,6 @@ type Machine struct {
 	// runs cannot race on it.
 	watchBlock amath.Addr
 	watchW     io.Writer
-
-	// Parallel-engine state (see parallel.go). par holds the cross-view
-	// shared synchronization (per-L1 mutexes) and stays nil on purely
-	// sequential machines, so the locked coherence sites cost one nil
-	// check when the parallel engine is off. guard, set only on worker
-	// views, is the reach mask granted to the in-flight task: any access
-	// resolving outside it panics instead of silently racing.
-	par   *parShared
-	guard *arch.Mask
 }
 
 // New builds a machine for the given configuration. The address space is

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"tdnuca/internal/amath"
 	"tdnuca/internal/arch"
@@ -43,13 +42,6 @@ func (m *Machine) watch(pa amath.Addr, format string, args ...any) {
 // golden one means a policy lost a flush or invalidation — exactly the
 // class of bug replication-based NUCA schemes are prone to.
 type verifier struct {
-	// mu serializes the version-map updates when the parallel engine runs
-	// concurrent flights on machine views. The per-block version values
-	// stay deterministic under the reach discipline (each flight touches
-	// disjoint blocks); the lock only protects the map structures
-	// themselves. Sequential runs take it uncontended.
-	mu sync.Mutex
-
 	golden map[amath.Addr]uint64
 	mem    map[amath.Addr]uint64
 	banks  []map[amath.Addr]uint64
@@ -77,13 +69,8 @@ const maxViolations = 20
 // the first ones localize the bug, the rest are only counted — so a
 // badly broken policy producing a violation per access cannot balloon
 // a long run's memory; Violations() reports the overflow count.
-//
-// Audited for concurrent flights: every caller holds v.mu, so the
-// append and the overflow counter are serialized; per-block contents
-// stay deterministic under the reach discipline. (The hot-path walk
-// stops at the verify* callers, so no allow(alloc) is needed here.)
-//
-//tdnuca:shardsafe
+// (The hot-path walk stops at the verify* callers, so no allow(alloc)
+// is needed here.)
 func (v *verifier) report(format string, args ...any) {
 	if len(v.violations) < maxViolations {
 		v.violations = append(v.violations, fmt.Sprintf(format, args...))
@@ -100,8 +87,6 @@ func (m *Machine) Violations() []string {
 	if m.ver == nil {
 		return nil
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	if m.ver.suppressed == 0 {
 		return m.ver.violations
 	}
@@ -114,18 +99,12 @@ func (m *Machine) Violations() []string {
 // goldenWrite records a core's store: the block's golden version advances
 // and the core's L1 copy becomes the only current one. The L1 line must
 // be Modified at this point.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) goldenWrite(core int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "write by core %d -> v%d", core, m.ver.golden[pa]+1)
 	if st := m.L1s[core].Probe(pa); st != cache.Modified {
 		m.ver.report("write by core %d to %#x with L1 state %v, want M", core, uint64(pa), st)
@@ -135,18 +114,12 @@ func (m *Machine) goldenWrite(core int, pa amath.Addr) {
 }
 
 // verifyL1Read checks a read served by the core's own L1.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyL1Read(core int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	if got, want := m.ver.l1s[core][pa], m.ver.golden[pa]; got != want {
 		m.ver.report("stale L1 read: core %d block %#x version %d, golden %d", core, uint64(pa), got, want)
 	}
@@ -154,18 +127,12 @@ func (m *Machine) verifyL1Read(core int, pa amath.Addr) {
 
 // verifyServeFromBank checks a demand request served by a bank and
 // propagates the bank's version into the requesting core's L1.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyServeFromBank(core, bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "serve bank %d -> core %d v%d (golden %d)", bank, core, m.ver.banks[bank][pa], m.ver.golden[pa])
 	got, want := m.ver.banks[bank][pa], m.ver.golden[pa]
 	if got != want {
@@ -176,18 +143,12 @@ func (m *Machine) verifyServeFromBank(core, bank int, pa amath.Addr) {
 }
 
 // verifyFillFromMemory checks a bypass fill served straight from DRAM.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyFillFromMemory(core int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "bypass fill mem v%d -> core %d (golden %d)", m.ver.mem[pa], core, m.ver.golden[pa])
 	got, want := m.ver.mem[pa], m.ver.golden[pa]
 	if got != want {
@@ -200,87 +161,57 @@ func (m *Machine) verifyFillFromMemory(core int, pa amath.Addr) {
 // verifyBankFillFromMemory propagates memory's version into a bank on an
 // LLC miss fill. Staleness is not checked here — it is caught when the
 // copy is served.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyBankFillFromMemory(bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "bank %d fill from mem v%d", bank, m.ver.mem[pa])
 	m.ver.banks[bank][pa] = m.ver.mem[pa]
 }
 
 // verifyOwnerWriteback propagates a dirty owner's version into the bank.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyOwnerWriteback(core, bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "owner wb core %d -> bank %d v%d", core, bank, m.ver.l1s[core][pa])
 	m.ver.banks[bank][pa] = m.ver.l1s[core][pa]
 }
 
 // verifyWritebackToBank propagates an L1 victim's version into the bank.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyWritebackToBank(core, bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "L1 wb core %d -> bank %d v%d", core, bank, m.ver.l1s[core][pa])
 	m.ver.banks[bank][pa] = m.ver.l1s[core][pa]
 }
 
 // verifyWritebackToMemory propagates a bypassed victim's version to DRAM.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyWritebackToMemory(core int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "L1 wb core %d -> mem v%d", core, m.ver.l1s[core][pa])
 	m.ver.mem[pa] = m.ver.l1s[core][pa]
 }
 
 // verifyBankWritebackToMemory propagates a dirty LLC victim's version to
 // DRAM.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyBankWritebackToMemory(bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "bank %d wb -> mem v%d", bank, m.ver.banks[bank][pa])
 	m.ver.mem[pa] = m.ver.banks[bank][pa]
 }
@@ -290,35 +221,23 @@ func (m *Machine) verifyBankWritebackToMemory(bank int, pa amath.Addr) {
 func (m *Machine) verifyL1Fill(core int, pa amath.Addr) {}
 
 // verifyL1Drop forgets a core's copy after invalidation or eviction.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyL1Drop(core int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "L1 core %d drop v%d", core, m.ver.l1s[core][pa])
 	delete(m.ver.l1s[core], pa)
 }
 
 // verifyBankDrop forgets a bank's copy after eviction or flush.
-// Audited for concurrent flights: v.mu serializes the version maps, and
-// the reach discipline keeps per-block versions deterministic (see the
-// verifier struct doc).
 //
 //tdnuca:allow(alloc) checker-only: reached only with CheckInvariants on; the zero-allocation property is defined with the checker off
-//tdnuca:shardsafe
 func (m *Machine) verifyBankDrop(bank int, pa amath.Addr) {
 	if m.ver == nil {
 		return
 	}
-	m.ver.mu.Lock()
-	defer m.ver.mu.Unlock()
 	m.watch(pa, "bank %d drop v%d", bank, m.ver.banks[bank][pa])
 	delete(m.ver.banks[bank], pa)
 }

@@ -47,20 +47,10 @@ func (n *Network) EnableContention(bandwidthBytes int) {
 	n.links = make([][4]linkState, n.cfg.NumCores)
 }
 
-// ContentionEnabled reports whether the queueing model is active.
-func (n *Network) ContentionEnabled() bool { return n.contention }
-
 // QueueingCycles returns the total queueing delay charged to messages
 // (zero when contention is disabled).
 func (n *Network) QueueingCycles() sim.Cycles { return n.queued }
 
-// serve is flight-reachable only in principle: parallelOK refuses runs
-// with the contention model armed, so during flights every Send takes the
-// contention-off path and serve never executes on a view. The suppression
-// below records that audit; arming contention for flights would need the
-// per-link busy/latest state folded per shard first.
-//
-//tdnuca:allow(shardsafe) contention is rejected by parallelOK, so serve never runs during flights; writes here are sequential-only
 func (l *linkState) serve(now, occ sim.Cycles) (delay sim.Cycles) {
 	if l.latest > 0 && l.busy > 0 {
 		horizon := l.latest

@@ -19,7 +19,7 @@ func contended(t *testing.T) (*Network, *arch.Config) {
 func TestContentionDisabledMatchesSend(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	n := New(&cfg)
-	if n.ContentionEnabled() {
+	if n.contention {
 		t.Fatal("contention on by default")
 	}
 	hops, lat := n.SendAt(0, 3, 64, 1000)

@@ -25,14 +25,6 @@ func (*SNUCA) LookupPenalty() int { return 0 }
 // UsesRRT implements machine.Policy.
 func (*SNUCA) UsesRRT() bool { return false }
 
-// ConcurrencySafe implements machine.ConcurrencySafe: placement is a
-// pure function of the address with no mutable state, so concurrent
-// machine views may consult it — the property the conservative parallel
-// engine (internal/sim/pdes) gates on. R-NUCA and TD-NUCA mutate
-// classification state on the access path and deliberately do not
-// implement this marker.
-func (*SNUCA) ConcurrencySafe() bool { return true }
-
 // Place implements machine.Policy. Under injected bank retirements
 // (internal/faults) no fix-up is needed here: the interleaved mapping is
 // resolved through the machine's retirement map at access time, so a

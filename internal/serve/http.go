@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -50,11 +51,20 @@ func writeAPIError(w http.ResponseWriter, e *APIError) {
 	writeJSON(w, e.HTTPStatus, errorBody{Error: e})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec parses a submission body strictly: an unknown field is an
+// error, so a misspelled or retired option is reported instead of
+// silently dropped.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeAPIError(w, apiErrorf(http.StatusBadRequest, "invalid_spec", "body: %v", err))
 		return
 	}

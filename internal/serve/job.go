@@ -46,7 +46,8 @@ type JobSpec struct {
 	// Seed seeds page placement (0 = the default seed 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// FragEvery is the physical fragmentation period: 0 = the default
-	// (16), -1 = fully contiguous.
+	// (16), -1 = fully contiguous. normalize keeps -1 as is (0 would read
+	// back as the default), so a normalized spec normalizes to itself.
 	FragEvery int `json:"frag_every,omitempty"`
 	// Faults is an optional fault scenario in -faults syntax; the job
 	// then runs degraded and its payload carries fault counters.
@@ -58,11 +59,6 @@ type JobSpec struct {
 	// interval time series and the stream endpoint replays it.
 	Trace bool `json:"trace,omitempty"`
 
-	// SimWorkers sets the conservative-parallel simulation width. It is
-	// excluded from the content address: worker count provably never
-	// changes results (the PDES equivalence tests), so jobs differing
-	// only here coalesce.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Priority orders the queue (higher first, FIFO within a level). It
 	// is excluded from the content address: it affects when a job runs,
 	// never what it produces.
@@ -116,13 +112,8 @@ func (j *JobSpec) normalize() error {
 	switch {
 	case j.FragEvery == 0:
 		j.FragEvery = 16
-	case j.FragEvery == -1:
-		j.FragEvery = 0
 	case j.FragEvery < -1:
 		return fmt.Errorf("frag_every must be >= -1 (got %d)", j.FragEvery)
-	}
-	if j.SimWorkers < 0 {
-		return fmt.Errorf("sim_workers must be >= 0 (got %d)", j.SimWorkers)
 	}
 	if j.Faults != "" {
 		sc, err := faults.Parse(j.Faults)
@@ -181,8 +172,10 @@ const addressSchema = "tdnuca-serve/v1"
 
 // Address is the canonical content address of the job: FNV-1a over the
 // normalized spec fields that determine the payload, in fixed order.
-// SimWorkers and Priority are deliberately absent (see their docs).
-// Callers must normalize first; ID is the %016x rendering used in URLs.
+// Priority is deliberately absent (see its doc), and FragEvery enters as
+// the period the harness runs with (0 for contiguous), the layout every
+// cached address was computed with. Callers must normalize first; ID is
+// the %016x rendering used in URLs.
 func (j JobSpec) Address() uint64 {
 	h := fnv64(fnvOffset64)
 	h.str(addressSchema)
@@ -191,7 +184,7 @@ func (j JobSpec) Address() uint64 {
 	h.str(j.Mesh)
 	h.u64(math.Float64bits(j.Factor))
 	h.u64(j.Seed)
-	h.u64(uint64(int64(j.FragEvery)))
+	h.u64(uint64(int64(j.fragEvery())))
 	h.str(j.Faults)
 	h.u64(j.MaxCycles)
 	if j.Trace {
@@ -219,10 +212,18 @@ func (j JobSpec) config() (harness.Config, error) {
 	}
 	cfg.Factor = workloads.Factor(j.Factor)
 	cfg.Seed = j.Seed
-	cfg.FragEvery = j.FragEvery
-	cfg.RT.SimWorkers = j.SimWorkers
+	cfg.FragEvery = j.fragEvery()
 	cfg.RT.MaxCycles = sim.Cycles(j.MaxCycles)
 	return cfg, nil
+}
+
+// fragEvery maps the normalized wire period to the harness's: -1
+// (contiguous) is the allocator's 0.
+func (j JobSpec) fragEvery() int {
+	if j.FragEvery == -1 {
+		return 0
+	}
+	return j.FragEvery
 }
 
 // kind returns the canonical policy; normalize has already vetted it.

@@ -222,7 +222,7 @@ func TestCacheHitReturnsByteIdenticalPayload(t *testing.T) {
 	}
 
 	// A different spelling of the same job coalesces to the same address.
-	alias := JobSpec{Bench: "Kmeans", Policy: "TD-NUCA", Factor: testFactor, Seed: 1, Mesh: "4x4", SimWorkers: 2, Priority: 9}
+	alias := JobSpec{Bench: "Kmeans", Policy: "TD-NUCA", Factor: testFactor, Seed: 1, Mesh: "4x4", Priority: 9}
 	_, third, apiErr := submit(t, ts, alias)
 	if apiErr != nil {
 		t.Fatal(apiErr)
@@ -340,6 +340,17 @@ func TestInvalidSpecRejected(t *testing.T) {
 		if apiErr == nil || code != http.StatusBadRequest || apiErr.Kind != "invalid_spec" {
 			t.Errorf("%s: code=%d err=%v, want 400 invalid_spec", name, code, apiErr)
 		}
+	}
+
+	// Retired and misspelled options are rejected, never silently dropped.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"bench":"MD5","policy":"snuca","workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown field: code=%d, want 400", resp.StatusCode)
 	}
 }
 

@@ -111,40 +111,3 @@ func (s *Server) NextFree() Cycles { return s.nextFree }
 
 // Reset clears all state and statistics.
 func (s *Server) Reset() { *s = Server{} }
-
-// ServerSnapshot is an exported copy of a Server's accumulated state,
-// the unit the partitioned world folds: per-partition shadow servers
-// hand their snapshots back to the owner, which Merges them in canonical
-// order.
-type ServerSnapshot struct {
-	NextFree Cycles
-	Busy     Cycles
-	Requests uint64
-}
-
-// Snapshot returns the server's current state as a value.
-func (s *Server) Snapshot() ServerSnapshot {
-	return ServerSnapshot{NextFree: s.nextFree, Busy: s.busy, Requests: s.requests}
-}
-
-// Fork returns a shadow server that continues this server's service
-// timeline (same next-free horizon) with zeroed statistics. A partition
-// that temporarily owns the resource serves requests on the shadow and
-// hands the result back through Merge; because the horizon is inherited
-// and statistics are pure sums, any fork/merge epoch structure over an
-// in-order request stream reproduces the sequential server exactly
-// (TestServerForkMergeEquivalence).
-func (s *Server) Fork() Server {
-	return Server{nextFree: s.nextFree}
-}
-
-// Merge folds a shadow server's snapshot back into this server: busy
-// time and request counts accumulate, and the next-free horizon advances
-// to the later of the two. Merging the snapshots of disjoint-resource
-// shards in any canonical order is deterministic because addition
-// commutes and Max is associative.
-func (s *Server) Merge(o ServerSnapshot) {
-	s.busy += o.Busy
-	s.requests += o.Requests
-	s.nextFree = Max(s.nextFree, o.NextFree)
-}

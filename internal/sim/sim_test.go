@@ -139,81 +139,6 @@ func TestServerProperty(t *testing.T) {
 	}
 }
 
-// TestServerForkMergeEquivalence is the satellite property test for the
-// partitioned world: chopping an in-order request stream into arbitrary
-// fork/merge epochs — each epoch served on a shadow server inheriting
-// the horizon — must reproduce the sequential server's busy time,
-// request count and next-free horizon exactly.
-func TestServerForkMergeEquivalence(t *testing.T) {
-	f := func(arrivals []uint16, services []uint8, cuts []bool) bool {
-		n := len(arrivals)
-		if len(services) < n {
-			n = len(services)
-		}
-		var seq, par Server
-		shadow := par.Fork()
-		var now Cycles
-		for i := 0; i < n; i++ {
-			now += Cycles(arrivals[i] % 100)
-			svc := Cycles(services[i] % 20)
-			s1, d1 := seq.Serve(now, svc)
-			// Epoch boundary: fold the shadow back and fork a fresh one.
-			if i < len(cuts) && cuts[i] {
-				par.Merge(shadow.Snapshot())
-				shadow = par.Fork()
-			}
-			s2, d2 := shadow.Serve(now, svc)
-			if s1 != s2 || d1 != d2 {
-				return false
-			}
-		}
-		par.Merge(shadow.Snapshot())
-		return par.Snapshot() == seq.Snapshot()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestServerMergeDisjointShards checks the other merge shape: disjoint
-// resources served on independent shards fold into pure sums, with the
-// horizon advancing to the latest shard, independent of merge order.
-func TestServerMergeDisjointShards(t *testing.T) {
-	shards := make([]Server, 4)
-	var wantBusy Cycles
-	var wantReqs uint64
-	var wantFree Cycles
-	r := NewRNG(17)
-	for i := range shards {
-		var now Cycles
-		for j := 0; j < 50; j++ {
-			now += Cycles(r.Intn(30))
-			svc := Cycles(r.Intn(9))
-			shards[i].Serve(now, svc)
-			wantBusy += svc
-			wantReqs++
-		}
-		if nf := shards[i].NextFree(); nf > wantFree {
-			wantFree = nf
-		}
-	}
-	fold := func(order []int) ServerSnapshot {
-		var total Server
-		for _, i := range order {
-			total.Merge(shards[i].Snapshot())
-		}
-		return total.Snapshot()
-	}
-	a := fold([]int{0, 1, 2, 3})
-	b := fold([]int{3, 1, 0, 2})
-	if a != b {
-		t.Errorf("merge order changed the fold: %+v vs %+v", a, b)
-	}
-	if a.Busy != wantBusy || a.Requests != wantReqs || a.NextFree != wantFree {
-		t.Errorf("merged = %+v, want busy=%d reqs=%d nextFree=%d", a, wantBusy, wantReqs, wantFree)
-	}
-}
-
 func TestEventQueueOrdering(t *testing.T) {
 	var q EventQueue[string]
 	q.Push(30, "c")

@@ -74,15 +74,6 @@ type Options struct {
 	// drain abort a run whose result nobody will read. A run whose hook
 	// never reports true behaves bit-identically to one without the hook.
 	Canceled func() bool
-	// SimWorkers bounds the conservative-PDES worker pool (see
-	// parallel.go and internal/sim/pdes) used to execute provably
-	// independent ready tasks concurrently. 0 and 1 select the sequential
-	// engine unchanged; higher values change wall-clock time only —
-	// results are bit-identical at every setting by construction, and
-	// configurations the conflict gate cannot prove safe (stateful
-	// policies, NoC contention, tracing, hooks) fall back to sequential
-	// execution within the same Wait.
-	SimWorkers int
 }
 
 // DefaultOptions returns the cost model used by all experiments.
@@ -200,15 +191,9 @@ func (rt *Runtime) Wait() {
 // dependency) or an exceeded cycle budget comes back as a *StallError
 // naming the stuck tasks. On success it behaves exactly like Wait.
 func (rt *Runtime) WaitChecked() error {
-	if w := rt.opts.SimWorkers; w > 1 && rt.parallelOK() {
-		if err := rt.waitParallel(w); err != nil {
+	for rt.pending > 0 {
+		if err := rt.dispatchOne(); err != nil {
 			return err
-		}
-	} else {
-		for rt.pending > 0 {
-			if err := rt.dispatchOne(); err != nil {
-				return err
-			}
 		}
 	}
 	// Barrier: every thread of this runtime reaches the sync point
@@ -247,24 +232,8 @@ func (rt *Runtime) dispatchOne() *StallError {
 	if c := rt.opts.Canceled; c != nil && c() {
 		return rt.stallError(StallCanceled, 0)
 	}
-	idx, core, err := rt.plan()
-	if err != nil {
-		return err
-	}
-	t := rt.ready[idx]
-	rt.ready = append(rt.ready[:idx], rt.ready[idx+1:]...)
-	rt.run(t, core, sim.Max(t.ReadyAt, rt.coreFree[core]))
-	return nil
-}
-
-// plan is the scheduler's selection function: it picks which ready task
-// the next dispatch runs and on which core, without executing anything.
-// dispatchOne runs its choice immediately; the parallel engine
-// (parallel.go) uses plan when nothing is in flight and proves its own
-// selection identical to plan's when flights exist.
-func (rt *Runtime) plan() (idx, core int, err *StallError) {
 	if len(rt.ready) == 0 {
-		return -1, -1, rt.stallError(StallDeadlock, 0)
+		return rt.stallError(StallDeadlock, 0)
 	}
 	minFree := rt.coreFree[rt.pickCore()]
 	// Pass 1: the earliest feasible dispatch time over all ready tasks
@@ -276,12 +245,12 @@ func (rt *Runtime) plan() (idx, core int, err *StallError) {
 		}
 	}
 	if rt.opts.MaxCycles > 0 && bestEst > rt.opts.MaxCycles {
-		return -1, -1, rt.stallError(StallBudget, bestEst)
+		return rt.stallError(StallBudget, bestEst)
 	}
 	// Pass 2: among the tasks dispatchable at that time, prefer one whose
 	// affinity core can take it without delay; otherwise the FIFO-first
 	// dispatchable task on the earliest-free core.
-	idx, core = -1, -1
+	idx, core := -1, -1
 	for i, t := range rt.ready {
 		if sim.Max(t.ReadyAt, minFree) != bestEst {
 			continue
@@ -297,7 +266,10 @@ func (rt *Runtime) plan() (idx, core int, err *StallError) {
 			break
 		}
 	}
-	return idx, core, nil
+	t := rt.ready[idx]
+	rt.ready = append(rt.ready[:idx], rt.ready[idx+1:]...)
+	rt.run(t, core, sim.Max(t.ReadyAt, rt.coreFree[core]))
+	return nil
 }
 
 // pickCore returns the earliest-free core of this runtime's core set,
@@ -341,13 +313,6 @@ func (rt *Runtime) run(t *Task, core int, start sim.Cycles) {
 	clock += h
 	rt.hookCost += h
 
-	rt.finish(t, core, clock)
-}
-
-// finish is the completion bookkeeping shared by the sequential run and
-// the parallel engine's dispatch-order folds: clocks, counters, and the
-// FIFO-order release of successors.
-func (rt *Runtime) finish(t *Task, core int, clock sim.Cycles) {
 	t.EndedAt = clock
 	t.state = taskDone
 	rt.coreFree[core] = clock
@@ -395,19 +360,16 @@ func (rt *Runtime) Tasks() []*Task { return rt.tasks }
 
 // Exec is the execution context handed to task bodies: it issues memory
 // accesses on the task's core and advances the core-local clock.
-//
-// Exec deliberately holds a machine reference — not the Runtime — so a
-// body cannot reach scheduler state: under the parallel engine the
-// machine is a per-flight shard view and the compute accumulator is
-// flight-local, folded back by the coordinator in dispatch order. This
-// also makes mid-body Spawn impossible by construction, which the
-// conservative dispatch proof relies on.
+// It holds the machine and the per-block compute cost rather than the
+// Runtime, so a body cannot reach scheduler state (mid-body Spawn is
+// impossible by construction); run folds the body's compute cycles into
+// the runtime's total when the body returns.
 type Exec struct {
 	m        *machine.Machine
 	core     int
 	clock    sim.Cycles
 	perBlock sim.Cycles // Options.ComputePerBlock, captured at dispatch
-	compute  sim.Cycles // body's pure-compute cycles, folded after the flight
+	compute  sim.Cycles // body's pure-compute cycles, folded by run
 }
 
 // Core returns the core executing the task.

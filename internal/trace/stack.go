@@ -40,23 +40,6 @@ type CycleStack struct {
 	Idle sim.Cycles
 }
 
-// Add folds another stack into this one component-wise. The parallel
-// engine uses it to absorb per-worker machine-view stacks; because every
-// component is a pure sum of per-access charges, folding shards in the
-// canonical dispatch order reproduces the sequential stack exactly.
-func (s *CycleStack) Add(o CycleStack) {
-	s.Compute += o.Compute
-	s.L1 += o.L1
-	s.LLC += o.LLC
-	s.NoCHop += o.NoCHop
-	s.NoCQueue += o.NoCQueue
-	s.DRAM += o.DRAM
-	s.RRT += o.RRT
-	s.Manager += o.Manager
-	s.Runtime += o.Runtime
-	s.Idle += o.Idle
-}
-
 // Component is one named slice of a CycleStack, for rendering.
 type Component struct {
 	Name   string
