@@ -16,6 +16,10 @@
 #   make bench-smoke the end-to-end benchmark module's own tests (bench/,
 #                    the harness bench/run.sh builds), run with that
 #                    script's hermetic Go environment
+#   make bench-ab    REF=<commit> WORKLOAD=<w> PAIRS=10: the working tree
+#                    against REF on bench/run.sh in alternating pairs,
+#                    with medians, IQRs, wins and a verdict per metric
+#                    (about 70 s per pair; not part of ci)
 #   make trace-smoke one traced run through the experiments CLI: writes
 #                    and validates the Chrome trace + interval series and
 #                    checks the cycle stack sums to cores x makespan
@@ -46,7 +50,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-timing bench bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet lint lint-timing bench bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -99,6 +103,16 @@ bench-quick:
 # environment is bench/run.sh's: no workspace, no proxy, local toolchain.
 bench-smoke:
 	cd bench && GOWORK=off GOPROXY=off GOFLAGS= GOTOOLCHAIN=local $(GO) test ./...
+
+# A/B comparison on the end-to-end benchmark (bench/README.md, "Comparing
+# two commits"): REF is checked out in a git worktree under .bench_build/
+# and run alternately with the working tree, one seed per pair. Too slow
+# for ci: a pair is two --seconds 30 invocations.
+REF ?= HEAD
+WORKLOAD ?= paper-suite
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./cmd/tdnuca-benchab -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # End-to-end proof of the observability layer: the CLI validates the
 # written Chrome JSON (parse + slice count) and the cycle-stack sum

@@ -44,6 +44,11 @@ type Config struct {
 	LLCLatency   int // cycles per bank lookup
 
 	// Coherence directory: one bank per tile, co-located with the LLC bank.
+	// DirEntriesPerBank and DirWays are the sizes Table I reports; the
+	// simulator does not model the directory as a separate structure but
+	// keeps each block's MESI state beside its LLC line (one entry per
+	// line), so Validate requires DirEntriesPerBank to cover every line
+	// of a bank.
 	DirEntriesPerBank int
 	DirWays           int
 	DirLatency        int // cycles per directory lookup
@@ -287,6 +292,10 @@ func (c *Config) Validate() error {
 	}
 	if c.DirWays <= 0 || c.DirEntriesPerBank%c.DirWays != 0 {
 		return fmt.Errorf("arch: directory bank %d entries not divisible by %d ways", c.DirEntriesPerBank, c.DirWays)
+	}
+	if lines := c.LLCBankBytes / c.BlockBytes; c.DirEntriesPerBank < lines {
+		return fmt.Errorf("arch: directory bank %d entries cannot track the %d lines of an LLC bank (the directory is inclusive: one entry per line)",
+			c.DirEntriesPerBank, lines)
 	}
 	if c.L1Bytes > c.LLCBankBytes {
 		return fmt.Errorf("arch: L1 (%dB) larger than one LLC bank (%dB): the inclusive LLC could not back the private cache",

@@ -68,6 +68,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"no mem controllers": func(c *Config) { c.MemCtrlTiles = nil },
 		"mem ctrl OOB":       func(c *Config) { c.MemCtrlTiles = []int{99} },
 		"dir not divisible":  func(c *Config) { c.DirEntriesPerBank = 33 },
+		"dir below lines":    func(c *Config) { c.DirEntriesPerBank = 16 << 10 },
 		"too many cores":     func(c *Config) { c.NumCores = 400; c.MeshWidth = 20; c.MeshHeight = 20 },
 	}
 	for name, mutate := range mutations {

@@ -72,6 +72,11 @@ func (s *Stats) HitRatio() float64 {
 // MESI states; the simulator carries data versions separately. All
 // addresses passed in must be physical block-aligned addresses (any
 // address within the block works; the low bits are masked off).
+//
+// Each line sits in a slot, numbered set*ways+way in [0, Slots()). A
+// resident line keeps its slot until it is evicted, invalidated or
+// flushed, so an owner can keep per-line state (the LLC directory) in a
+// slice indexed by the slots the lookups, Insert and the walks return.
 type Cache struct {
 	blockBytes int
 	numSets    int
@@ -82,6 +87,7 @@ type Cache struct {
 	sets       []line   // numSets * ways, row-major
 	plru       []uint32 // tree pseudo-LRU bits per set
 	mru        []uint8  // most-recently-touched way per set (lookup hint)
+	valid      []uint16 // valid lines per set: a full set skips the empty-way scan
 	resident   int
 
 	// Miss cursor: after Access misses, the cursor remembers (set, tag)
@@ -129,6 +135,7 @@ func New(capacityBytes, ways, blockBytes int) (*Cache, error) {
 		sets:       make([]line, numSets*ways),
 		plru:       make([]uint32, numSets),
 		mru:        make([]uint8, numSets),
+		valid:      make([]uint16, numSets),
 	}, nil
 }
 
@@ -163,6 +170,9 @@ func (c *Cache) Sets() int { return c.numSets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// Slots returns the number of line slots, Sets()*Ways().
+func (c *Cache) Slots() int { return len(c.sets) }
+
 func (c *Cache) index(addr amath.Addr) (set int, tag uint64) {
 	block := addr.Block(c.blockBytes)
 	if !c.indexHash {
@@ -193,11 +203,21 @@ func (c *Cache) find(set int, tag uint64) int {
 // Probe returns the MESI state of the block without touching replacement
 // state or statistics (a coherence snoop, not a demand access).
 func (c *Cache) Probe(addr amath.Addr) State {
+	st, _ := c.ProbeSlot(addr)
+	return st
+}
+
+// ProbeSlot is Probe that also returns the line's slot (-1 when the
+// block is not resident).
+//
+//tdnuca:hotpath
+func (c *Cache) ProbeSlot(addr amath.Addr) (State, int) {
 	set, tag := c.index(addr)
 	if w := c.find(set, tag); w >= 0 {
-		return c.sets[set*c.ways+w].state
+		slot := set*c.ways + w
+		return c.sets[slot].state, slot
 	}
-	return Invalid
+	return Invalid, -1
 }
 
 // Access performs a demand lookup: on a hit it promotes the line in the
@@ -208,22 +228,34 @@ func (c *Cache) Probe(addr amath.Addr) State {
 //
 //tdnuca:hotpath
 func (c *Cache) Access(addr amath.Addr) State {
+	st, _ := c.AccessSlot(addr)
+	return st
+}
+
+// AccessSlot is Access that also returns the hit line's slot (-1 on a
+// miss).
+//
+//tdnuca:hotpath
+func (c *Cache) AccessSlot(addr amath.Addr) (State, int) {
 	set, tag := c.index(addr)
 	if w := c.find(set, tag); w >= 0 {
 		c.touch(set, w)
 		c.stats.Hits++
-		return c.sets[set*c.ways+w].state
+		slot := set*c.ways + w
+		return c.sets[slot].state, slot
 	}
 	c.stats.Misses++
 	c.curSet, c.curTag, c.curValid = set, tag, true
-	return Invalid
+	return Invalid, -1
 }
 
-// Victim describes a line displaced by Insert.
+// Victim describes the outcome of Insert: the slot the block now
+// occupies and the line it displaced, if any.
 type Victim struct {
 	Addr     amath.Addr // block base address of the displaced line
 	State    State
-	Occurred bool // false when the fill used an empty way
+	Occurred bool // false when the fill used an empty way or the block was resident
+	Slot     int  // slot of the inserted block (and of the displaced line)
 }
 
 // Insert fills the block with the given state, evicting the pseudo-LRU
@@ -246,24 +278,27 @@ func (c *Cache) Insert(addr amath.Addr, st State) Victim {
 		if w := c.find(set, tag); w >= 0 {
 			c.sets[base+w].state = st
 			c.touch(set, w)
-			return Victim{}
+			return Victim{Slot: base + w}
 		}
 	}
 	return c.fillWay(set, tag, st)
 }
 
-// fillWay is the combined lookup-or-victim step: one pass over the set
-// picks the first empty way, falling back to the pseudo-LRU victim when
-// the set is full. The caller guarantees the tag is not resident.
+// fillWay is the combined lookup-or-victim step: it takes the first
+// empty way of a set that has one, and the pseudo-LRU victim of a full
+// set. The caller guarantees the tag is not resident.
 func (c *Cache) fillWay(set int, tag uint64, st State) Victim {
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if !c.sets[base+w].state.IsValid() {
-			c.sets[base+w] = line{tag: tag, state: st}
-			c.resident++
-			c.touch(set, w)
-			return Victim{}
+	if int(c.valid[set]) < c.ways {
+		w := 0
+		for c.sets[base+w].state.IsValid() {
+			w++
 		}
+		c.sets[base+w] = line{tag: tag, state: st}
+		c.valid[set]++
+		c.resident++
+		c.touch(set, w)
+		return Victim{Slot: base + w}
 	}
 	// Evict the pseudo-LRU way.
 	w := c.plruVictim(set)
@@ -275,7 +310,7 @@ func (c *Cache) fillWay(set int, tag uint64, st State) Victim {
 	vAddr := c.blockAddr(victim.tag)
 	c.sets[base+w] = line{tag: tag, state: st}
 	c.touch(set, w)
-	return Victim{Addr: vAddr, State: victim.state, Occurred: true}
+	return Victim{Addr: vAddr, State: victim.state, Occurred: true, Slot: base + w}
 }
 
 func (c *Cache) blockAddr(tag uint64) amath.Addr {
@@ -304,8 +339,15 @@ func (c *Cache) Invalidate(addr amath.Addr) State {
 	if w < 0 {
 		return Invalid
 	}
+	return c.drop(set, w)
+}
+
+// drop removes the valid line in way w of set and returns its state. A
+// Modified line counts as a writeback.
+func (c *Cache) drop(set, w int) State {
 	st := c.sets[set*c.ways+w].state
 	c.sets[set*c.ways+w] = line{}
+	c.valid[set]--
 	c.resident--
 	c.stats.Invalidates++
 	if st == Modified {
@@ -315,38 +357,32 @@ func (c *Cache) Invalidate(addr amath.Addr) State {
 }
 
 // FlushRange invalidates every resident block whose base address lies in
-// the physical range, invoking fn (if non-nil) with the block address and
-// its prior state before removal. It returns the number of blocks flushed.
-// This implements the bulk flush of tdnuca_flush and the page flushes of
-// R-NUCA reclassification.
-func (c *Cache) FlushRange(r amath.Range, fn func(block amath.Addr, st State)) int {
+// the physical range, invoking fn (if non-nil) with the block address,
+// its prior state and its slot before removal. It returns the number of
+// blocks flushed. This implements the bulk flush of tdnuca_flush and the
+// page flushes of R-NUCA reclassification.
+func (c *Cache) FlushRange(r amath.Range, fn func(block amath.Addr, st State, slot int)) int {
 	flushed := 0
 	r.EachBlock(c.blockBytes, func(block amath.Addr) {
 		set, tag := c.index(block)
 		if w := c.find(set, tag); w >= 0 {
-			st := c.sets[set*c.ways+w].state
 			if fn != nil {
-				fn(block, st)
+				fn(block, c.sets[set*c.ways+w].state, set*c.ways+w)
 			}
-			c.sets[set*c.ways+w] = line{}
-			c.resident--
-			c.stats.Invalidates++
-			if st == Modified {
-				c.stats.Writebacks++
-			}
+			c.drop(set, w)
 			flushed++
 		}
 	})
 	return flushed
 }
 
-// EachResident calls fn for every valid line, in set-then-way order.
-func (c *Cache) EachResident(fn func(block amath.Addr, st State)) {
-	for set := 0; set < c.numSets; set++ {
-		for w := 0; w < c.ways; w++ {
-			if l := c.sets[set*c.ways+w]; l.state.IsValid() {
-				fn(c.blockAddr(l.tag), l.state)
-			}
+// EachResident calls fn for every valid line, in set-then-way order,
+// with the line's block address, state and slot. fn may invalidate the
+// line it is given.
+func (c *Cache) EachResident(fn func(block amath.Addr, st State, slot int)) {
+	for slot, l := range c.sets {
+		if l.state.IsValid() {
+			fn(c.blockAddr(l.tag), l.state, slot)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func TestFlushRange(t *testing.T) {
 	c.SetState(4*64, Shared)
 	c.Insert(4*64, Modified)
 	var flushed []amath.Addr
-	n := c.FlushRange(amath.NewRange(2*64, 6*64), func(b amath.Addr, st State) {
+	n := c.FlushRange(amath.NewRange(2*64, 6*64), func(b amath.Addr, st State, _ int) {
 		flushed = append(flushed, b)
 		if b == 4*64 && st != Modified {
 			t.Errorf("flush callback state for block 4 = %v", st)
@@ -232,7 +232,7 @@ func TestEachResident(t *testing.T) {
 		c.Insert(a, s)
 	}
 	got := map[amath.Addr]State{}
-	c.EachResident(func(b amath.Addr, st State) { got[b] = st })
+	c.EachResident(func(b amath.Addr, st State, _ int) { got[b] = st })
 	if len(got) != len(want) {
 		t.Fatalf("EachResident visited %d lines, want %d", len(got), len(want))
 	}
@@ -254,7 +254,7 @@ func TestResidentNeverExceedsCapacity(t *testing.T) {
 		}
 		// Every inserted state must be re-findable or evicted; count via iteration.
 		n := 0
-		c.EachResident(func(amath.Addr, State) { n++ })
+		c.EachResident(func(amath.Addr, State, int) { n++ })
 		return n == c.Resident()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -268,7 +268,7 @@ func TestBlockAddrRoundTrip(t *testing.T) {
 		addr := amath.Addr(b) * 64
 		c.Insert(addr, Exclusive)
 		found := false
-		c.EachResident(func(got amath.Addr, _ State) {
+		c.EachResident(func(got amath.Addr, _ State, _ int) {
 			if got == addr {
 				found = true
 			}
@@ -369,5 +369,81 @@ func TestPLRUVictimProperty(t *testing.T) {
 				t.Fatalf("ways=%d set=%d: way %d touched and immediately chosen as victim", ways, set, w)
 			}
 		}
+	}
+}
+
+// TestSlotsIdentifyLines pins the slot contract the LLC directory relies
+// on: Insert, AccessSlot, ProbeSlot, EachResident and FlushRange agree on
+// a resident line's slot, no two resident lines share one, and a line
+// keeps its slot until it leaves the cache.
+func TestSlotsIdentifyLines(t *testing.T) {
+	f := func(blocks []uint8) bool {
+		c := MustNew(16*64, 4, 64) // 4 sets x 4 ways
+		c.EnableIndexHash()
+		slotOf := map[amath.Addr]int{}
+		for _, b := range blocks {
+			addr := amath.Addr(b%64) * 64
+			if _, ok := slotOf[addr]; ok && b&0x80 != 0 {
+				c.Invalidate(addr)
+				delete(slotOf, addr)
+				continue
+			}
+			v := c.Insert(addr, Exclusive)
+			if v.Occurred {
+				if s, ok := slotOf[v.Addr]; !ok || s != v.Slot {
+					return false
+				}
+				delete(slotOf, v.Addr)
+			}
+			if s, ok := slotOf[addr]; ok && s != v.Slot {
+				return false
+			}
+			slotOf[addr] = v.Slot
+		}
+		for addr, slot := range slotOf {
+			if st, s := c.ProbeSlot(addr); st != Exclusive || s != slot {
+				return false
+			}
+			if st, s := c.AccessSlot(addr); st != Exclusive || s != slot {
+				return false
+			}
+		}
+		seen := map[int]bool{}
+		ok := true
+		c.EachResident(func(b amath.Addr, _ State, slot int) {
+			ok = ok && slotOf[b] == slot && !seen[slot] && slot < c.Slots()
+			seen[slot] = true
+		})
+		c.FlushRange(amath.NewRange(0, 64*64), func(b amath.Addr, _ State, slot int) {
+			ok = ok && slotOf[b] == slot
+		})
+		return ok && len(seen) == len(slotOf) && c.Resident() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if st, s := MustNew(16*64, 4, 64).ProbeSlot(0); st != Invalid || s != -1 {
+		t.Errorf("ProbeSlot of a cold cache = %v, %d; want I, -1", st, s)
+	}
+}
+
+// TestFullSetRefillsFreedWay pins the per-set valid count: once a line
+// of a full set is invalidated, the next fill of that set takes the
+// freed way instead of evicting, and fills after it evict again.
+func TestFullSetRefillsFreedWay(t *testing.T) {
+	c := mk(t, 4*64, 4) // 1 set x 4 ways
+	for i := 0; i < 4; i++ {
+		c.Insert(amath.Addr(i*64), Exclusive)
+	}
+	_, freed := c.ProbeSlot(2 * 64)
+	c.Invalidate(2 * 64)
+	if v := c.Insert(4*64, Exclusive); v.Occurred || v.Slot != freed {
+		t.Errorf("fill after invalidate = %+v, want the freed slot %d without eviction", v, freed)
+	}
+	if v := c.Insert(5*64, Exclusive); !v.Occurred {
+		t.Error("fill of a full set did not evict")
+	}
+	if c.Resident() != 4 || c.Stats().Evictions != 1 {
+		t.Errorf("resident %d evictions %d, want 4 and 1", c.Resident(), c.Stats().Evictions)
 	}
 }

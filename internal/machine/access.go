@@ -154,13 +154,12 @@ func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now si
 
 	b := m.Banks[bank]
 	m.met.LLCAccesses++
-	block := m.blockNum(pa)
-	if b.Cache.Access(pa).IsValid() {
+	if st, slot := b.Cache.AccessSlot(pa); st.IsValid() {
 		m.met.LLCHits++
 		if m.tr != nil {
 			m.tr.Emit(trace.EvLLCHit, now, core, uint64(pa), int32(bank))
 		}
-		e := b.dir.ref(block)
+		e := &b.dir[slot]
 		if write {
 			lat += m.invalidateCopies(bank, pa, e, core, now+lat)
 			e.sharers = arch.Mask{}
@@ -196,19 +195,18 @@ func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now si
 		return lat + respLat, st
 	}
 
-	// LLC miss: fetch the block from memory into the bank. The directory
-	// entry is (re)initialized only after the fetch: fillBank's victim
-	// handling may delete other entries, which moves table slots.
+	// LLC miss: fetch the block from memory into the bank.
 	m.met.LLCMisses++
 	if m.tr != nil {
 		m.tr.Emit(trace.EvLLCMiss, now, core, uint64(pa), int32(bank))
 	}
-	lat += m.memFetchToBank(bank, pa, now+lat)
+	fetchLat, slot := m.memFetchToBank(bank, pa, now+lat)
+	lat += fetchLat
 	st := cache.Exclusive
 	if write {
 		st = cache.Modified
 	}
-	*b.dir.ref(block) = dirEntry{owner: core}
+	b.dir[slot] = dirEntry{owner: core}
 	m.verifyServeFromBank(core, bank, pa)
 	respHops, respLat := m.Net.SendDataAt(bank, core, now+lat)
 	m.chargeNoC(respHops, respLat)
@@ -243,24 +241,24 @@ func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycle
 	m.met.LLCAccesses++
 
 	b := m.Banks[bank]
-	block := m.blockNum(pa)
-	if b.Cache.Probe(pa).IsValid() {
+	st, slot := b.Cache.ProbeSlot(pa)
+	if st.IsValid() {
 		m.met.LLCHits++
 		if m.tr != nil {
 			m.tr.Emit(trace.EvLLCHit, now, core, uint64(pa), int32(bank))
 		}
 	} else {
 		// Inclusion was broken by a placement change; treat as a miss and
-		// re-fetch the block into the bank. The directory reference is
-		// taken only after the fetch: fillBank's victim handling may
-		// delete other entries, which moves table slots.
+		// re-fetch the block into the bank.
 		m.met.LLCMisses++
 		if m.tr != nil {
 			m.tr.Emit(trace.EvLLCMiss, now, core, uint64(pa), int32(bank))
 		}
-		lat += m.memFetchToBank(bank, pa, now+lat)
+		var fetchLat sim.Cycles
+		fetchLat, slot = m.memFetchToBank(bank, pa, now+lat)
+		lat += fetchLat
 	}
-	e := b.dir.ref(block)
+	e := &b.dir[slot]
 	lat += m.invalidateCopies(bank, pa, e, core, now+lat)
 	e.sharers = arch.Mask{}
 	e.owner = core
@@ -325,19 +323,15 @@ func (m *Machine) writebackFromL1(core int, pa amath.Addr, now sim.Cycles) {
 	m.Net.SendDataAt(core, bank, now)
 	b := m.Banks[bank]
 	m.met.LLCWritebacksIn++
-	block := m.blockNum(pa)
-	if b.Cache.Probe(pa).IsValid() {
+	if st, slot := b.Cache.ProbeSlot(pa); st.IsValid() {
 		b.Cache.SetState(pa, cache.Modified) // dirty at the LLC now
-	} else {
-		// Placement changed since the fill; adopt the block.
-		m.fillBank(bank, pa, cache.Modified)
-	}
-	if e := b.dir.get(block); e != nil {
-		if e.owner == core {
+		if e := &b.dir[slot]; e.owner == core {
 			e.owner = -1
 		}
 	} else {
-		b.dir.ref(block) // adopt with no owner and no sharers
+		// Placement changed since the fill; adopt the block with no
+		// owner and no sharers.
+		m.fillBank(bank, pa, cache.Modified)
 	}
 	m.verifyWritebackToBank(core, bank, pa)
 	m.verifyL1Drop(core, pa)

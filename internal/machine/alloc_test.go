@@ -52,8 +52,8 @@ func TestL1HitPathAllocFree(t *testing.T) {
 // 8 KB L1 but far smaller than the 1 MB LLC, so after warmup every
 // access is an L1 miss served by bankFill's LLC-hit path (plus clean
 // silent L1 evictions). In steady state that whole path — TLB,
-// translation, placement, NoC accounting, bank lookup and the
-// open-addressed directory — must not allocate.
+// translation, placement, NoC accounting, bank lookup and the in-tag
+// directory entry beside the bank line — must not allocate.
 func TestLLCHitPathAllocFree(t *testing.T) {
 	m := benchMachine(t)
 	const region = 64 << 10 // 8x the scaled L1, 1/16 of the LLC
@@ -62,7 +62,7 @@ func TestLLCHitPathAllocFree(t *testing.T) {
 			m.Access(0, amath.Addr(off), false)
 		}
 	}
-	sweep() // cold: fills the LLC and grows the directory tables
+	sweep() // cold: fills the LLC and allocates the banks' directories
 	sweep() // settle TLB and replacement state
 
 	if n := testing.AllocsPerRun(10, sweep); n != 0 {
@@ -114,8 +114,9 @@ func TestTLBAccessAllocFree(t *testing.T) {
 }
 
 // TestCacheAccessAllocFree pins the annotated cache hot paths directly: a
-// working set twice the cache capacity drives Access misses and Insert
-// evictions through every set, with zero allocations.
+// working set twice the cache capacity drives Access and AccessSlot
+// misses, ProbeSlot snoops and Insert evictions through every set, with
+// zero allocations.
 func TestCacheAccessAllocFree(t *testing.T) {
 	c := cache.MustNew(8<<10, 8, 64)
 	if n := testing.AllocsPerRun(100, func() {
@@ -123,6 +124,10 @@ func TestCacheAccessAllocFree(t *testing.T) {
 			addr := amath.Addr(off)
 			if c.Access(addr) == cache.Invalid {
 				c.Insert(addr, cache.Shared)
+			}
+			c.ProbeSlot(addr + 8<<10)
+			if st, _ := c.AccessSlot(addr + 8<<10); st == cache.Invalid {
+				c.Insert(addr+8<<10, cache.Shared)
 			}
 		}
 	}); n != 0 {
@@ -196,11 +201,11 @@ func (p *typePrinter) print(e ast.Expr) error {
 func TestHotpathAnnotationSet(t *testing.T) {
 	want := []string{
 		"cache.(*Cache).Access",
+		"cache.(*Cache).AccessSlot",
 		"cache.(*Cache).Insert",
+		"cache.(*Cache).ProbeSlot",
 		"machine.(*Machine).Access",
 		"machine.(*Machine).AccessAt",
-		"machine.(*dirTable).get",
-		"machine.(*dirTable).ref",
 		"trace.(*Tracer).Emit",
 		"trace.(*Tracer).EmitUntimed",
 		"vm.(*AddressSpace).TranslateMRU",

@@ -108,8 +108,9 @@ func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.C
 
 // memFetchToBank fetches a block from DRAM into an LLC bank (an LLC
 // miss): control to the nearest memory controller, the DRAM access, and
-// the data response, then the fill with inclusive victim handling.
-func (m *Machine) memFetchToBank(bank int, pa amath.Addr, now sim.Cycles) sim.Cycles {
+// the data response, then the fill with inclusive victim handling. It
+// returns the latency and the block's slot in the bank.
+func (m *Machine) memFetchToBank(bank int, pa amath.Addr, now sim.Cycles) (sim.Cycles, int) {
 	mc := m.nearestMC[bank]
 	reqHops, reqLat := m.Net.SendCtrlAt(bank, mc, now)
 	m.chargeNoC(reqHops, reqLat)
@@ -122,65 +123,83 @@ func (m *Machine) memFetchToBank(bank int, pa amath.Addr, now sim.Cycles) sim.Cy
 	respHops, respLat := m.Net.SendDataAt(mc, bank, now+lat)
 	m.chargeNoC(respHops, respLat)
 	lat += respLat
-	m.fillBank(bank, pa, cache.Exclusive)
+	slot := m.fillBank(bank, pa, cache.Exclusive)
 	m.verifyBankFillFromMemory(bank, pa)
-	return lat
+	return lat, slot
 }
 
 // fillBank inserts a block into a bank, evicting and back-invalidating a
 // victim if needed (the LLC is inclusive: evicting a block removes every
 // L1 copy). Eviction handling is off the demand critical path, so it
-// produces traffic and energy but no added latency.
-func (m *Machine) fillBank(bank int, pa amath.Addr, st cache.State) {
+// produces traffic and energy but no added latency. It returns the
+// block's slot, whose directory entry it resets to no owner and no
+// sharers.
+func (m *Machine) fillBank(bank int, pa amath.Addr, st cache.State) int {
 	b := m.Banks[bank]
+	if b.dir == nil {
+		//tdnuca:allow(alloc) once per bank, at its first fill: machines that never touch a bank never pay for its directory
+		b.dir = make([]dirEntry, b.Cache.Slots())
+	}
 	m.met.LLCFills++
 	v := b.Cache.Insert(pa, st)
+	e := b.dir[v.Slot]
+	b.dir[v.Slot] = dirEntry{owner: -1}
 	if !v.Occurred {
-		return
+		return v.Slot
 	}
 	m.met.LLCEvictions++
 	if m.tr != nil {
 		m.tr.EmitUntimed(trace.EvLLCEvict, bank, uint64(v.Addr), 0)
 	}
-	block := v.Addr.Block(m.Cfg.BlockBytes)
-	dirty := v.State == cache.Modified
-	if e := b.dir.get(block); e != nil {
-		// Back-invalidate all L1 copies of the victim.
-		//tdnuca:allow(alloc) non-escaping closure over locals: inlined/stack-allocated, confirmed by the AllocsPerRun tests
-		backInv := func(core int) {
-			m.Net.SendCtrl(bank, core)
-			cst := m.L1s[core].Probe(v.Addr)
-			if cst.IsValid() {
-				if cst == cache.Modified {
-					m.verifyOwnerWriteback(core, bank, v.Addr)
-					m.Net.SendData(core, bank)
-					m.met.LLCWritebacksIn++
-					dirty = true
-				} else {
-					m.Net.SendCtrl(core, bank)
-				}
-				m.L1s[core].Invalidate(v.Addr)
-				m.met.Invalidations++
-				m.verifyL1Drop(core, v.Addr)
+	if dirty, _ := m.backInvalidate(bank, v.Addr, e); dirty || v.State == cache.Modified {
+		m.writebackBankLine(bank, v.Addr)
+		if m.tr != nil {
+			m.tr.EmitUntimed(trace.EvDRAMWrite, bank, uint64(v.Addr), int32(m.nearestMC[bank]))
+		}
+	}
+	m.verifyBankDrop(bank, v.Addr)
+	return v.Slot
+}
+
+// backInvalidate removes every L1 copy that e, the directory entry of a
+// bank line being evicted, flushed or drained, records (the LLC is
+// inclusive). Each recorded core gets an invalidation and answers with
+// its dirty data or an acknowledgment. It reports whether an L1 copy was
+// dirty and how many invalidations it sent.
+func (m *Machine) backInvalidate(bank int, pa amath.Addr, e dirEntry) (dirty bool, sent int) {
+	//tdnuca:allow(alloc) non-escaping closure over locals: inlined/stack-allocated, confirmed by the AllocsPerRun tests
+	inv := func(core int) {
+		sent++
+		m.Net.SendCtrl(bank, core)
+		st := m.L1s[core].Probe(pa)
+		if st.IsValid() {
+			if st == cache.Modified {
+				m.verifyOwnerWriteback(core, bank, pa)
+				m.Net.SendData(core, bank)
+				m.met.LLCWritebacksIn++
+				dirty = true
 			} else {
 				m.Net.SendCtrl(core, bank)
 			}
+			m.L1s[core].Invalidate(pa)
+			m.met.Invalidations++
+			m.verifyL1Drop(core, pa)
+		} else {
+			m.Net.SendCtrl(core, bank)
 		}
-		if e.owner >= 0 {
-			backInv(e.owner)
-		}
-		e.sharers.EachBit(backInv)
-		b.dir.del(block)
 	}
-	if dirty {
-		mc := m.nearestMC[bank]
-		m.Net.SendData(bank, mc)
-		m.met.DRAMWrites++
-		m.met.LLCWritebacksOut++
-		if m.tr != nil {
-			m.tr.EmitUntimed(trace.EvDRAMWrite, bank, uint64(v.Addr), int32(mc))
-		}
-		m.verifyBankWritebackToMemory(bank, v.Addr)
+	if e.owner >= 0 {
+		inv(e.owner)
 	}
-	m.verifyBankDrop(bank, v.Addr)
+	e.sharers.EachBit(inv)
+	return dirty, sent
+}
+
+// writebackBankLine writes a dirty line leaving a bank to DRAM through
+// the bank's nearest memory controller.
+func (m *Machine) writebackBankLine(bank int, pa amath.Addr) {
+	m.Net.SendData(bank, m.nearestMC[bank])
+	m.met.DRAMWrites++
+	m.met.LLCWritebacksOut++
+	m.verifyBankWritebackToMemory(bank, pa)
 }

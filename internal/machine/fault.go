@@ -94,73 +94,29 @@ func (m *Machine) RetiredBanks() arch.Mask { return m.retired }
 // Callers must not mutate it.
 func (m *Machine) BankMap() []int { return m.bankMap }
 
-// drainBank flushes every resident line out of a bank, mirroring
-// FlushBankRange's per-victim coherence work. FlushBankRange itself walks
+// drainBank flushes every resident line out of a bank with
+// FlushBankRange's per-line coherence work. FlushBankRange itself walks
 // an address range — unusable here, where "the whole bank" would mean
-// walking the entire physical address space — so the victims are
+// walking the entire physical address space — so the lines are
 // enumerated from the cache array instead (EachResident's set-then-way
-// order is deterministic) and invalidated line by line.
+// order is deterministic) and invalidated one by one.
 func (m *Machine) drainBank(bank int) sim.Cycles {
 	b := m.Banks[bank]
-	type victim struct {
-		addr  amath.Addr
-		dirty bool
-	}
-	var victims []victim
-	b.Cache.EachResident(func(block amath.Addr, st cache.State) {
-		victims = append(victims, victim{addr: block, dirty: st == cache.Modified})
-	})
-	if len(victims) == 0 {
+	n := b.Cache.Resident()
+	if n == 0 {
 		m.met.FlushCycles += flushCheckCycles
 		return flushCheckCycles
 	}
 	m.met.FlushOps++
-	lat := sim.Cycles((len(victims) + flushPipeline - 1) / flushPipeline)
-	for _, v := range victims {
-		block := m.blockNum(v.addr)
-		dirty := v.dirty
-		if e := b.dir.get(block); e != nil {
-			inv := func(core int) {
-				m.Net.SendCtrl(bank, core)
-				lat += flushIssueCycles
-				st := m.L1s[core].Probe(v.addr)
-				if st.IsValid() {
-					if st == cache.Modified {
-						m.verifyOwnerWriteback(core, bank, v.addr)
-						m.Net.SendData(core, bank)
-						m.met.LLCWritebacksIn++
-						dirty = true
-					} else {
-						m.Net.SendCtrl(core, bank)
-					}
-					m.L1s[core].Invalidate(v.addr)
-					m.met.Invalidations++
-					m.verifyL1Drop(core, v.addr)
-				} else {
-					m.Net.SendCtrl(core, bank)
-				}
-			}
-			if e.owner >= 0 {
-				inv(e.owner)
-			}
-			e.sharers.EachBit(inv)
-			b.dir.del(block)
-		}
-		if dirty {
-			mc := m.nearestMC[bank]
-			m.Net.SendData(bank, mc)
-			lat += flushIssueCycles
-			m.met.DRAMWrites++
-			m.met.LLCWritebacksOut++
-			m.verifyBankWritebackToMemory(bank, v.addr)
-		}
-		b.Cache.Invalidate(v.addr)
-		m.verifyBankDrop(bank, v.addr)
-	}
-	m.met.FlushedBlocks += uint64(len(victims))
+	lat := sim.Cycles((n + flushPipeline - 1) / flushPipeline)
+	b.Cache.EachResident(func(block amath.Addr, st cache.State, slot int) {
+		lat += m.flushBankLine(bank, block, st, b.dir[slot])
+		b.Cache.Invalidate(block)
+	})
+	m.met.FlushedBlocks += uint64(n)
 	m.met.FlushCycles += lat
 	if m.tr != nil {
-		m.tr.EmitUntimed(trace.EvFlushOp, bank, uint64(len(victims)), 1)
+		m.tr.EmitUntimed(trace.EvFlushOp, bank, uint64(n), 1)
 	}
 	return lat
 }

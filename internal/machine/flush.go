@@ -48,7 +48,7 @@ func (m *Machine) FlushL1Range(core int, r amath.Range) (sim.Cycles, int) {
 	l1 := m.L1s[core]
 	lat := m.flushScanCycles(r, l1.Sets()*l1.Ways())
 	var dirty []amath.Addr
-	n := l1.FlushRange(r, func(block amath.Addr, st cache.State) {
+	n := l1.FlushRange(r, func(block amath.Addr, st cache.State, _ int) {
 		if st == cache.Modified {
 			dirty = append(dirty, block)
 		} else {
@@ -85,19 +85,15 @@ func (m *Machine) flushWriteback(core int, pa amath.Addr) sim.Cycles {
 	m.Net.SendData(core, bank)
 	b := m.Banks[bank]
 	m.met.LLCWritebacksIn++
-	if b.Cache.Probe(pa).IsValid() {
+	if st, slot := b.Cache.ProbeSlot(pa); st.IsValid() {
 		b.Cache.SetState(pa, cache.Modified)
-	} else {
-		m.fillBank(bank, pa, cache.Modified)
-	}
-	block := m.blockNum(pa)
-	if e := b.dir.get(block); e != nil {
+		e := &b.dir[slot]
 		if e.owner == core {
 			e.owner = -1
 		}
 		e.sharers = e.sharers.Clear(core)
 	} else {
-		b.dir.ref(block) // adopt with no owner and no sharers
+		m.fillBank(bank, pa, cache.Modified) // adopt with no owner and no sharers
 	}
 	m.verifyWritebackToBank(core, bank, pa)
 	m.verifyL1Drop(core, pa)
@@ -120,61 +116,32 @@ func (m *Machine) FlushBankRange(bank int, r amath.Range) (sim.Cycles, int) {
 	bank = m.bankMap[bank]
 	m.met.FlushOps++
 	b := m.Banks[bank]
-	lat := m.flushScanCycles(r, b.Cache.Sets()*b.Cache.Ways())
-	type victim struct {
-		addr  amath.Addr
-		dirty bool
-	}
-	var victims []victim
-	n := b.Cache.FlushRange(r, func(block amath.Addr, st cache.State) {
-		victims = append(victims, victim{addr: block, dirty: st == cache.Modified})
+	lat := m.flushScanCycles(r, b.Cache.Slots())
+	n := b.Cache.FlushRange(r, func(block amath.Addr, st cache.State, slot int) {
+		lat += m.flushBankLine(bank, block, st, b.dir[slot])
 	})
-	for _, v := range victims {
-		block := m.blockNum(v.addr)
-		dirty := v.dirty
-		if e := b.dir.get(block); e != nil {
-			inv := func(core int) {
-				m.Net.SendCtrl(bank, core)
-				lat += flushIssueCycles
-				st := m.L1s[core].Probe(v.addr)
-				if st.IsValid() {
-					if st == cache.Modified {
-						m.verifyOwnerWriteback(core, bank, v.addr)
-						m.Net.SendData(core, bank)
-						m.met.LLCWritebacksIn++
-						dirty = true
-					} else {
-						m.Net.SendCtrl(core, bank)
-					}
-					m.L1s[core].Invalidate(v.addr)
-					m.met.Invalidations++
-					m.verifyL1Drop(core, v.addr)
-				} else {
-					m.Net.SendCtrl(core, bank)
-				}
-			}
-			if e.owner >= 0 {
-				inv(e.owner)
-			}
-			e.sharers.EachBit(inv)
-			b.dir.del(block)
-		}
-		if dirty {
-			mc := m.nearestMC[bank]
-			m.Net.SendData(bank, mc)
-			lat += flushIssueCycles
-			m.met.DRAMWrites++
-			m.met.LLCWritebacksOut++
-			m.verifyBankWritebackToMemory(bank, v.addr)
-		}
-		m.verifyBankDrop(bank, v.addr)
-	}
 	m.met.FlushedBlocks += uint64(n)
 	m.met.FlushCycles += lat
 	if m.tr != nil {
 		m.tr.EmitUntimed(trace.EvFlushOp, bank, uint64(n), 1)
 	}
 	return lat, n
+}
+
+// flushBankLine does the coherence work of flushing one line out of a
+// bank, given the line's state and directory entry: it back-invalidates
+// the L1 copies, writes the line to DRAM if it or an L1 copy was dirty,
+// and returns the flush engine's issue cycles for those messages. The
+// caller removes the line from the bank.
+func (m *Machine) flushBankLine(bank int, pa amath.Addr, st cache.State, e dirEntry) sim.Cycles {
+	dirty, sent := m.backInvalidate(bank, pa, e)
+	lat := sim.Cycles(sent) * flushIssueCycles
+	if dirty || st == cache.Modified {
+		m.writebackBankLine(bank, pa)
+		lat += flushIssueCycles
+	}
+	m.verifyBankDrop(bank, pa)
+	return lat
 }
 
 // FlushRangeEverywhere flushes a physical range from every L1 and every

@@ -93,10 +93,15 @@ type dirEntry struct {
 	owner   int
 }
 
-// Bank is one LLC bank plus its co-located directory slice.
+// Bank is one LLC bank plus its co-located directory slice. The
+// directory is inclusive with the bank, one entry per line: dir[slot]
+// is the entry of the block resident in that cache slot, reset by every
+// fill into the slot and meaningless while the slot is empty. A pointer
+// into dir stays valid until the next fill into the same set, which may
+// evict the block and hand its slot to another.
 type Bank struct {
 	Cache *cache.Cache
-	dir   dirTable // block number -> directory state
+	dir   []dirEntry // indexed by cache slot; allocated at the bank's first fill
 }
 
 // Metrics aggregates everything a run measures. All counters are raw
