@@ -29,12 +29,11 @@
 #                    digests, cross-policy access-set equality) plus one
 #                    CLI run of a generated workload on the 4x4 and 8x8
 #                    meshes
-#   make serve-smoke the experiment service end to end: the in-process
-#                    load-test battery submits a suite twice from
-#                    concurrent clients and asserts the second pass is
-#                    all cache hits with payload digests byte-identical
-#                    to direct harness runs, plus the raced drain /
-#                    cache / SIGTERM package tests (DESIGN.md §14)
+#   make serve-smoke the experiment service's raced package tests:
+#                    byte-identical cache hits, concurrent duplicate
+#                    submissions coalescing to one simulation, drain and
+#                    SIGTERM (DESIGN.md §14); the concurrent-client soak
+#                    against direct runs is chaos-smoke's tdnuca-load
 #   make chaos-smoke the chaos-hardened stack (DESIGN.md §15): raced
 #                    cache-integrity, fault-injection and retrying-client
 #                    tests, then the tdnuca-load soak — 8 clients x 1000
@@ -137,14 +136,12 @@ gen-smoke:
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
 # The experiment-service layer (DESIGN.md §14): raced package tests for
-# the cache / drain / SIGTERM paths, then the selftest battery — the
-# full Table II suite submitted twice by 4 concurrent clients each,
-# asserting coalescing (one simulation per unique job), a 100% cache-hit
-# second pass with byte-identical payloads, digests equal to direct
-# harness.RunMany runs, and a leak-free drain.
+# byte-identical cache hits, coalescing of concurrent duplicate
+# submissions, and the drain / SIGTERM paths. Digest fidelity against
+# direct harness runs and the leak-free drain under concurrent clients
+# are tdnuca-load's invariants, run by chaos-smoke.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate'
-	$(GO) run ./cmd/tdnuca-serve -selftest
 
 # The chaos-hardened stack (DESIGN.md §15): raced integrity / chaos /
 # client packages (the corruption, stream-resume and idempotent-

@@ -7,6 +7,7 @@
 package tdnuca_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -26,7 +27,7 @@ var (
 func suite(b *testing.B) tdnuca.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = tdnuca.RunSuite(tdnuca.DefaultExperimentConfig(),
+		suiteVal, suiteErr = tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: tdnuca.DefaultExperimentConfig()}, 0,
 			tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA, tdnuca.TDBypassOnly)
 	})
 	if suiteErr != nil {
@@ -258,19 +259,19 @@ func BenchmarkClusterSweep(b *testing.B) {
 func BenchmarkFullSuite(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuite(cfg, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
+		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 0, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFullSuiteSequential is the single-goroutine reference for
+// BenchmarkFullSuiteSequential is the one-worker reference for
 // BenchmarkFullSuite (identical results, proven by digest equivalence
 // tests in internal/harness).
 func BenchmarkFullSuiteSequential(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuiteSequential(cfg, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
+		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 1, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +285,7 @@ func BenchmarkFullSuiteSequential(b *testing.B) {
 func BenchmarkFullSuiteParallel2(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuiteParallel(cfg, 2, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
+		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 2, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +296,7 @@ func BenchmarkFullSuiteParallel2(b *testing.B) {
 func BenchmarkFullSuiteParallel4(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuiteParallel(cfg, 4, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
+		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 4, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +306,7 @@ func BenchmarkFullSuiteParallel4(b *testing.B) {
 func BenchmarkSingleRun(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunBenchmark("LU", tdnuca.TDNUCA, cfg); err != nil {
+		if _, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "LU", Kind: tdnuca.TDNUCA, Cfg: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}

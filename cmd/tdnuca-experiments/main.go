@@ -181,7 +181,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "running %d benchmarks x %d policies at factor %g on %d workers...\n",
 			len(tdnuca.Benchmarks()), len(kinds), *factor, n)
 		var err error
-		suite, err = tdnuca.RunSuiteParallel(cfg, *workers, kinds...)
+		suite, err = tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, *workers, kinds...)
 		fail(err)
 		reportViolations(suite)
 		if *digest {
@@ -311,7 +311,7 @@ func runDegraded(cfg tdnuca.ExperimentConfig, spec string, seed uint64, workers 
 	}
 	fmt.Fprintf(os.Stderr, "degraded run [%s]: %d benchmarks x %d policies on %d workers...\n",
 		sc, len(tdnuca.Benchmarks()), len(kinds), n)
-	suite, err := tdnuca.RunDegradedSuite(cfg, sc, workers, kinds...)
+	suite, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg, Faults: sc}, workers, kinds...)
 	fail(err)
 
 	fmt.Printf("Degraded suite under faults [%s]\n", sc)
@@ -331,16 +331,17 @@ func runDegraded(cfg tdnuca.ExperimentConfig, spec string, seed uint64, workers 
 		sort.Strings(names)
 		for _, name := range names {
 			r := perPolicy[tdnuca.PolicyKind(name)]
+			f := r.Faults
 			fmt.Printf("%-12s %-22s %14d %6d %6d %5d %13d %016x\n",
-				bench, name, uint64(r.Cycles), r.BankRetirements, r.LinkFailures,
-				r.RRTDegrades, uint64(r.FaultCycles), r.Digest())
+				bench, name, uint64(r.Cycles), f.BankRetirements, f.LinkFailures,
+				f.RRTDegrades, uint64(f.FaultCycles), r.Digest())
 			for _, v := range r.Violations {
 				fmt.Fprintf(os.Stderr, "COHERENCE VIOLATION %s/%s: %s\n", bench, name, v)
 			}
 		}
 	}
 	if digest {
-		fmt.Print(tdnuca.DigestDegradedSuite(suite).String())
+		fmt.Print(tdnuca.DigestSuite(suite).String())
 	}
 }
 

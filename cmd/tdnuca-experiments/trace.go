@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,9 +46,12 @@ func runTraced(cfg tdnuca.ExperimentConfig, spec, out string, interval uint64) {
 		kind = k
 	}
 
-	topts := tdnuca.TraceOptions{Interval: sim.Cycles(interval)}
-	res, data, err := tdnuca.RunBenchmarkTraced(bench, kind, cfg, topts)
+	res, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{
+		Bench: bench, Kind: kind, Cfg: cfg,
+		Trace: &tdnuca.TraceOptions{Interval: sim.Cycles(interval)},
+	})
 	fail(err)
+	data := res.Trace
 	for _, v := range res.Violations {
 		fmt.Fprintf(os.Stderr, "COHERENCE VIOLATION %s/%s: %s\n", bench, kind, v)
 	}

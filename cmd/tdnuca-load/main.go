@@ -349,31 +349,22 @@ func runLoad(opts options) (*Report, error) {
 func directDigest(spec serve.JobSpec, opts options) (string, error) {
 	cfg := harness.DefaultConfig()
 	cfg.Factor = workloads.Factor(opts.Factor)
-	kind := poolKind(spec.Policy)
-	switch {
-	case spec.Faults != "":
+	job := harness.Job{Bench: spec.Bench, Kind: poolKind(spec.Policy), Cfg: cfg}
+	if spec.Faults != "" {
 		sc, err := faults.Parse(spec.Faults)
 		if err != nil {
 			return "", err
 		}
-		r, err := harness.RunDegraded(spec.Bench, kind, cfg, sc)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%016x", r.Digest()), nil
-	case spec.Trace:
-		r, _, err := harness.RunTraced(spec.Bench, kind, cfg, trace.Options{})
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%016x", r.Digest()), nil
-	default:
-		r, err := harness.Run(spec.Bench, kind, cfg)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%016x", r.Digest()), nil
+		job.Faults = sc
 	}
+	if spec.Trace {
+		job.Trace = &trace.Options{}
+	}
+	r, err := harness.Run(context.Background(), job)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%016x", r.Digest()), nil
 }
 
 // corruptionDrill damages cached payloads on disk, restarts the server

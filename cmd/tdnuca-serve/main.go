@@ -6,21 +6,14 @@
 //
 // On SIGTERM/SIGINT the server stops admitting, finishes (or, once the
 // grace period expires, cancels) in-flight jobs, flushes the cache
-// index and exits.
-//
-//	tdnuca-serve -selftest
-//
-// runs the load-test battery in-process instead of serving: a small
-// suite submitted twice by concurrent clients, asserting that the
-// second pass is all cache hits and that every payload digest is
-// byte-identical to a direct harness run.
+// index and exits. The concurrent-client load test of the service is
+// cmd/tdnuca-load.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -39,7 +32,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "optional on-disk result cache directory")
 	budget := flag.Uint64("budget", 0, "server-side cycle budget for jobs without max_cycles (0 = none)")
 	grace := flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs before canceling them")
-	selftest := flag.Bool("selftest", false, "run the in-process load-test battery and exit")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -48,14 +40,6 @@ func main() {
 		CacheCap:  *cacheCap,
 		CacheDir:  *cacheDir,
 		MaxCycles: *budget,
-	}
-
-	if *selftest {
-		if err := runSelftest(cfg); err != nil {
-			log.Fatalf("selftest: %v", err)
-		}
-		fmt.Println("selftest: PASS")
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -92,7 +93,7 @@ func main() {
 		exit(2)
 	}
 
-	r, err := tdnuca.RunBenchmark(*bench, kind, cfg)
+	r, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: *bench, Kind: kind, Cfg: cfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdnuca-sim:", err)
 		exit(1)

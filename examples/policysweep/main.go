@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	for _, kind := range []tdnuca.PolicyKind{
 		tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDBypassOnly, tdnuca.TDNUCA,
 	} {
-		r, err := tdnuca.RunBenchmark("Jacobi", kind, cfg)
+		r, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "Jacobi", Kind: kind, Cfg: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func main() {
 	for lat := 0; lat <= 4; lat++ {
 		c := cfg
 		c.Arch.RRTLatency = lat
-		r, err := tdnuca.RunBenchmark("Jacobi", tdnuca.TDNUCA, c)
+		r, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "Jacobi", Kind: tdnuca.TDNUCA, Cfg: c})
 		if err != nil {
 			log.Fatal(err)
 		}

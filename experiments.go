@@ -1,6 +1,8 @@
 package tdnuca
 
 import (
+	"context"
+
 	"tdnuca/internal/faults"
 	"tdnuca/internal/harness"
 	"tdnuca/internal/stats"
@@ -26,8 +28,8 @@ func Benchmarks() []string { return workloads.Names() }
 // seed plus DAG shape (depth, width, fan-out, reuse distance), per-task
 // footprint, read/write-set overlap, per-task compute and barrier
 // period. Its String renders the canonical "gen:seed=..." benchmark
-// name, accepted everywhere a Table II name is (RunBenchmark, suites,
-// fault injection, tracing).
+// name, accepted everywhere a Table II name is (ExperimentJob.Bench, so
+// single runs, suites, fault injection and tracing alike).
 type WorkloadParams = workgen.Params
 
 // DefaultWorkloadParams returns the generator's reference knob set.
@@ -45,11 +47,6 @@ func IsGeneratedName(name string) bool { return workgen.IsName(name) }
 // default: the scaled machine and the 1/32 workload factor.
 func DefaultExperimentConfig() ExperimentConfig { return harness.DefaultConfig() }
 
-// RunBenchmark executes one benchmark under one policy.
-func RunBenchmark(bench string, kind PolicyKind, cfg ExperimentConfig) (Result, error) {
-	return harness.Run(bench, kind, cfg)
-}
-
 // TraceOptions sizes the event buffer and interval sampling of a traced
 // run; the zero value selects the defaults.
 type TraceOptions = trace.Options
@@ -64,49 +61,43 @@ type TraceData = trace.Data
 // idle components; see Result.Stack.
 type CycleStack = trace.CycleStack
 
-// RunBenchmarkTraced is RunBenchmark with the event tracer attached.
-// Tracing is observation-only: the Result (and any digest over it) is
-// identical to an untraced run.
-func RunBenchmarkTraced(bench string, kind PolicyKind, cfg ExperimentConfig, topts TraceOptions) (Result, *TraceData, error) {
-	return harness.RunTraced(bench, kind, cfg, topts)
-}
-
 // WriteChromeTrace writes a traced run as Chrome trace_event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 var WriteChromeTrace = trace.WriteChrome
 
-// RunSuite executes all benchmarks under each policy, fanning runs out
-// across one worker per CPU. Results are bit-for-bit identical to the
-// sequential runner (each run owns its machine and runtime).
-func RunSuite(cfg ExperimentConfig, kinds ...PolicyKind) (Suite, error) {
-	return harness.RunSuite(cfg, kinds...)
-}
-
-// RunSuiteParallel is RunSuite with an explicit worker-pool size
-// (workers <= 0 means one per CPU).
-func RunSuiteParallel(cfg ExperimentConfig, workers int, kinds ...PolicyKind) (Suite, error) {
-	return harness.RunSuiteParallel(cfg, workers, kinds...)
-}
-
-// RunSuiteSequential executes the suite one run at a time — the
-// reference the parallel runner is tested for equivalence against.
-func RunSuiteSequential(cfg ExperimentConfig, kinds ...PolicyKind) (Suite, error) {
-	return harness.RunSuiteSequential(cfg, kinds...)
-}
-
-// ExperimentJob names one simulation for RunExperiments: a benchmark
-// under a policy with a configuration.
+// ExperimentJob names one simulation: a benchmark under a policy with a
+// configuration, plus an optional fault scenario (Faults) and optional
+// tracing (Trace). RunExperiment runs one, RunExperiments a batch and
+// RunSuite the Table II cross-product of one.
 type ExperimentJob = harness.Job
+
+// RunExperiment executes one job. Canceling ctx stops the run at its
+// next task-dispatch boundary; a nil or never-canceled ctx runs it to
+// completion. A traced job returns its trace in Result.Trace, a faulted
+// one its fault counters in Result.Faults; tracing never moves the
+// Result's digest.
+func RunExperiment(ctx context.Context, job ExperimentJob) (Result, error) {
+	return harness.Run(ctx, job)
+}
+
+// RunExperiments executes a batch of jobs on a worker pool (workers <= 0
+// means one per CPU), returning results in job order; they are
+// bit-for-bit identical to running each job alone.
+func RunExperiments(jobs []ExperimentJob, workers int) ([]Result, error) {
+	return harness.RunMany(jobs, workers)
+}
+
+// RunSuite executes every benchmark under each policy with job's
+// configuration, fault scenario and tracing (its Bench and Kind are
+// ignored), on a worker pool (workers <= 0 means one per CPU). The Suite
+// — and its digest — is independent of the worker count.
+func RunSuite(job ExperimentJob, workers int, kinds ...PolicyKind) (Suite, error) {
+	return harness.RunSuite(job, workers, kinds...)
+}
 
 // SuiteDigest is the canonical behavioral fingerprint of a Suite; see
 // DigestSuite.
 type SuiteDigest = harness.SuiteDigest
-
-// RunExperiments executes an arbitrary batch of jobs on a worker pool
-// (workers <= 0 means one per CPU), returning results in job order.
-func RunExperiments(jobs []ExperimentJob, workers int) ([]Result, error) {
-	return harness.RunMany(jobs, workers)
-}
 
 // DigestSuite fingerprints a Suite: a stable FNV-1a hash per
 // (benchmark, policy) over every counter the run produced, in canonical
@@ -159,16 +150,6 @@ type FaultScenario = faults.Scenario
 // FaultEvent is one scheduled fault of a FaultScenario.
 type FaultEvent = faults.Event
 
-// DegradedResult is a Result from a fault-injected run plus the applied
-// fault counters; it digests separately from healthy Results.
-type DegradedResult = harness.DegradedResult
-
-// DegradedJob names one fault-injected simulation for RunDegradedExperiments.
-type DegradedJob = harness.DegradedJob
-
-// DegradedSuite maps [benchmark][policy] to degraded results.
-type DegradedSuite = harness.DegradedSuite
-
 // ResilienceReport is a full graceful-degradation sweep; see ResilienceSweep.
 type ResilienceReport = harness.ResilienceReport
 
@@ -187,28 +168,6 @@ func DefaultFaults(cfg *Config, seed uint64) *FaultScenario { return faults.Defa
 func FaultsAtSeverity(cfg *Config, seed uint64, severity int) *FaultScenario {
 	return faults.ScenarioAt(cfg, seed, severity)
 }
-
-// RunBenchmarkDegraded executes one benchmark under one policy with the
-// fault scenario injected.
-func RunBenchmarkDegraded(bench string, kind PolicyKind, cfg ExperimentConfig, sc *FaultScenario) (DegradedResult, error) {
-	return harness.RunDegraded(bench, kind, cfg, sc)
-}
-
-// RunDegradedSuite executes every benchmark under each policy with the
-// same fault scenario, fanned out over the worker pool (<= 0 means one
-// per CPU); digests are independent of the worker count.
-func RunDegradedSuite(cfg ExperimentConfig, sc *FaultScenario, workers int, kinds ...PolicyKind) (DegradedSuite, error) {
-	return harness.RunDegradedSuite(cfg, sc, workers, kinds...)
-}
-
-// RunDegradedExperiments executes an arbitrary batch of fault-injected
-// jobs on a worker pool, returning results in job order.
-func RunDegradedExperiments(jobs []DegradedJob, workers int) ([]DegradedResult, error) {
-	return harness.RunDegradedMany(jobs, workers)
-}
-
-// DigestDegradedSuite fingerprints a DegradedSuite in canonical order.
-func DigestDegradedSuite(s DegradedSuite) SuiteDigest { return harness.DigestDegradedSuite(s) }
 
 // ResilienceSweep measures graceful degradation: every benchmark under
 // each policy at fault severities 0..maxSeverity, reporting makespan and

@@ -5,6 +5,7 @@
 package tdnuca_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -130,12 +131,12 @@ func TestDegradedBenchmarkPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := tdnuca.RunBenchmarkDegraded("LU", tdnuca.TDNUCA, cfg, sc)
+	r, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "LU", Kind: tdnuca.TDNUCA, Cfg: cfg, Faults: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BankRetirements != 1 || r.LinkFailures != 1 {
-		t.Errorf("faults applied = %d retirements, %d link failures", r.BankRetirements, r.LinkFailures)
+	if r.Faults.BankRetirements != 1 || r.Faults.LinkFailures != 1 {
+		t.Errorf("faults applied = %d retirements, %d link failures", r.Faults.BankRetirements, r.Faults.LinkFailures)
 	}
 	if len(r.Violations) != 0 {
 		t.Errorf("degraded run violated coherence: %v", r.Violations)
@@ -143,11 +144,13 @@ func TestDegradedBenchmarkPublicAPI(t *testing.T) {
 	if r.Digest() == 0 {
 		t.Error("degraded digest is zero")
 	}
-	healthy, err := tdnuca.RunBenchmark("LU", tdnuca.TDNUCA, cfg)
+	healthy, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "LU", Kind: tdnuca.TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result.Digest() == healthy.Digest() {
+	unfaulted := r
+	unfaulted.Faults = nil // digest the run's own counters, not the fault report
+	if unfaulted.Digest() == healthy.Digest() {
 		t.Error("fault injection changed nothing observable")
 	}
 	if sev0 := tdnuca.FaultsAtSeverity(&cfg.Arch, 1, 0); len(sev0.Events) != 0 {

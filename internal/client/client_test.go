@@ -410,7 +410,7 @@ func TestRunThroughChaos(t *testing.T) {
 		if err := json.Unmarshal(res.Payload, &p); err != nil {
 			t.Fatal(err)
 		}
-		direct, err := harness.Run(spec.Bench, harness.TDNUCA, refCfg)
+		direct, err := harness.Run(context.Background(), harness.Job{Bench: spec.Bench, Kind: harness.TDNUCA, Cfg: refCfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package harness
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestDigestInsensitiveToChecker pins that the coherence checker is
 // purely observational: a run digests identically with CheckInvariants
@@ -13,11 +16,11 @@ func TestDigestInsensitiveToChecker(t *testing.T) {
 	cfgOff.Arch.CheckInvariants = false
 	for _, bench := range []string{"MD5", "Jacobi"} {
 		for _, kind := range goldenKinds {
-			on, err := Run(bench, kind, cfgOn)
+			on, err := Run(context.Background(), Job{Bench: bench, Kind: kind, Cfg: cfgOn})
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := Run(bench, kind, cfgOff)
+			off, err := Run(context.Background(), Job{Bench: bench, Kind: kind, Cfg: cfgOff})
 			if err != nil {
 				t.Fatal(err)
 			}

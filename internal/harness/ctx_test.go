@@ -30,8 +30,13 @@ func TestJobValidateErrorFormat(t *testing.T) {
 	// Every other branch carries the same prefix.
 	bad := cfg
 	bad.Arch.ClusterWidth, bad.Arch.ClusterHeight = 3, 3
+	noRRT := cfg
+	noRRT.Arch.RRTEntries = 0
+	badFaults := &faults.Scenario{Events: []faults.Event{{Kind: faults.BankRetire, Bank: cfg.Arch.NumCores}}}
 	for name, j := range map[string]Job{
-		"arch": {Bench: "MD5", Kind: TDNUCA, Cfg: bad},
+		"arch":   {Bench: "MD5", Kind: TDNUCA, Cfg: bad},
+		"rrt":    {Bench: "MD5", Kind: TDNUCA, Cfg: noRRT},
+		"faults": {Bench: "MD5", Kind: SNUCA, Cfg: cfg, Faults: badFaults},
 	} {
 		err := j.Validate()
 		if err == nil {
@@ -43,24 +48,33 @@ func TestJobValidateErrorFormat(t *testing.T) {
 	}
 }
 
-func TestRunCtxNilAndBackgroundMatchRun(t *testing.T) {
-	want, err := Run("MD5", SNUCA, fastCfg())
+// TestRunNilAndBackgroundMatchRun runs one job without a context, under
+// context.Background (neither installs the dispatch-boundary check) and
+// under a cancelable context that is never canceled (which does): the
+// check only observes, so all three digests agree.
+func TestRunNilAndBackgroundMatchRun(t *testing.T) {
+	j := Job{Bench: "MD5", Kind: SNUCA, Cfg: fastCfg()}
+	want, err := Run(nil, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunCtx(context.Background(), "MD5", SNUCA, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != want.Digest() {
-		t.Errorf("RunCtx digest %016x != Run digest %016x", got.Digest(), want.Digest())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"background": context.Background(), "cancelable": ctx} {
+		got, err := Run(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest() != want.Digest() {
+			t.Errorf("%s ctx digest %016x != nil ctx digest %016x", name, got.Digest(), want.Digest())
+		}
 	}
 }
 
-func TestRunCtxPreCanceled(t *testing.T) {
+func TestRunPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCtx(ctx, "MD5", SNUCA, fastCfg())
+	_, err := Run(ctx, Job{Bench: "MD5", Kind: SNUCA, Cfg: fastCfg()})
 	if err == nil {
 		t.Fatal("pre-canceled context accepted")
 	}
@@ -75,6 +89,8 @@ func TestRunCtxPreCanceled(t *testing.T) {
 // countdownCtx is a context whose Err flips to Canceled after n polls —
 // a deterministic way to cancel exactly mid-run, at the n-th
 // dispatch-boundary check, without racing a timer against the simulator.
+// It embeds a cancelable context so its Done channel is non-nil: Run
+// installs no check on a context that can never be canceled.
 type countdownCtx struct {
 	context.Context
 	n atomic.Int64
@@ -87,12 +103,12 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-func (c *countdownCtx) Done() <-chan struct{} { return nil }
-
-func TestRunCtxMidRunCancelSurfacesStallCanceled(t *testing.T) {
-	ctx := &countdownCtx{Context: context.Background()}
+func TestRunMidRunCancelSurfacesStallCanceled(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &countdownCtx{Context: parent}
 	ctx.n.Store(10) // survive the upfront check, cancel at a later dispatch
-	_, err := RunCtx(ctx, "MD5", SNUCA, fastCfg())
+	_, err := Run(ctx, Job{Bench: "MD5", Kind: SNUCA, Cfg: fastCfg()})
 	if err == nil {
 		t.Fatal("mid-run cancellation returned no error")
 	}
@@ -127,7 +143,7 @@ func TestRunManyCtxCancelsInFlightOnFirstFailure(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 16} {
 		before := runtime.NumGoroutine()
-		_, err := RunManyCtx(context.Background(), jobs, workers)
+		_, err := RunMany(jobs, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: doomed batch succeeded", workers)
 		}
@@ -142,46 +158,5 @@ func TestRunManyCtxCancelsInFlightOnFirstFailure(t *testing.T) {
 			t.Errorf("workers=%d: err = %v does not identify the failing job", workers, err)
 		}
 		assertNoGoroutineLeak(t, before)
-	}
-}
-
-func TestRunManyCtxParentCancelAbortsBatch(t *testing.T) {
-	cfg := fastCfg()
-	var jobs []Job
-	for i := 0; i < 8; i++ {
-		jobs = append(jobs, Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg})
-	}
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunManyCtx(ctx, jobs, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled batch: err = %v, want context.Canceled", err)
-	}
-	assertNoGoroutineLeak(t, before)
-}
-
-func TestRunDegradedManyCtxCancel(t *testing.T) {
-	cfg := fastCfg()
-	sc := faults.ScenarioAt(&cfg.Arch, 1, 1)
-	jobs := []DegradedJob{
-		{Bench: "MD5", Kind: SNUCA, Cfg: cfg, Scenario: sc},
-		{Bench: "LU", Kind: SNUCA, Cfg: cfg, Scenario: sc},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunDegradedManyCtx(ctx, jobs, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled degraded batch: err = %v, want context.Canceled", err)
-	}
-	// And the uncanceled path still works and matches RunDegraded.
-	got, err := RunDegradedManyCtx(context.Background(), jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunDegraded("MD5", SNUCA, cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Digest() != want.Digest() {
-		t.Errorf("degraded ctx digest %016x != direct %016x", got[0].Digest(), want.Digest())
 	}
 }

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -12,92 +10,25 @@ import (
 	"tdnuca/internal/workloads"
 )
 
-// Degraded runs: the same harness with a fault scenario attached. The
-// healthy Result struct (and therefore the healthy golden digests) is
-// frozen, so fault counters live in a wrapper with its own digest.
+// Faulted runs: the same harness with a fault scenario attached
+// (Job.Faults). The healthy Result layout — and therefore every healthy
+// golden digest — is frozen, so a faulted Result carries its fault
+// counters in Result.Faults and digests under faultedDigest.
 
-// DegradedResult is a Result from a run with fault injection, extended
-// with what the injector applied. It has its own Digest covering both
-// the embedded Result and the fault counters.
-type DegradedResult struct {
-	Result
-
-	// Scenario is the applied schedule in -faults syntax.
+// FaultReport is what fault injection applied during a run: the
+// scenario in -faults syntax and the injector's counters.
+type FaultReport struct {
 	Scenario string
-
-	BankRetirements int
-	LinkFailures    int
-	RRTDegrades     int
-	// FaultCycles is the total reconfiguration time charged by the
-	// injector (bank drains, reroute setup, RRT cleanup).
-	FaultCycles sim.Cycles
+	faults.Stats
 }
 
-// Digest fingerprints the degraded run: the embedded Result's fields
-// plus the scenario and fault counters, under the same reflection walk
-// (and the same float exclusions) as Result.Digest.
-func (r DegradedResult) Digest() uint64 {
-	h := newFNV()
-	hashValue(&h, reflect.ValueOf(r))
-	return uint64(h)
-}
-
-// RunDegraded executes one benchmark under one policy with the fault
-// scenario injected at task-dispatch boundaries. The scenario is
-// validated against the architecture first; a scheduler stall surfaces
-// as a *taskrt.StallError, not a hang.
-func RunDegraded(bench string, kind PolicyKind, cfg Config, sc *faults.Scenario) (DegradedResult, error) {
-	return RunDegradedCtx(nil, bench, kind, cfg, sc)
-}
-
-// RunDegradedCtx is RunDegraded under a context, with RunCtx's
-// dispatch-boundary cancellation semantics. The injector and the cancel
-// check share the quiesced dispatch points, so a canceled degraded run
-// never stops mid-reconfiguration.
-func RunDegradedCtx(ctx context.Context, bench string, kind PolicyKind, cfg Config, sc *faults.Scenario) (DegradedResult, error) {
-	res, _, fst, err := run(ctx, bench, kind, cfg, nil, sc)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-	return DegradedResult{
-		Result:          res,
-		Scenario:        sc.String(),
-		BankRetirements: fst.BankRetirements,
-		LinkFailures:    fst.LinkFailures,
-		RRTDegrades:     fst.RRTDegrades,
-		FaultCycles:     fst.FaultCycles,
-	}, nil
-}
-
-// DegradedJob names one degraded simulation for RunDegradedMany.
-type DegradedJob struct {
-	Bench    string
-	Kind     PolicyKind
-	Cfg      Config
-	Scenario *faults.Scenario
-}
-
-// Validate is the exported form of the up-front job check, for callers
-// that admit jobs long before running them (the experiment service
-// rejects a malformed submission at the HTTP boundary with exactly this
-// error).
-func (j DegradedJob) Validate() error { return j.validate() }
-
-// validate mirrors Job.validate with the scenario checked too.
-func (j DegradedJob) validate() error {
-	if err := (Job{Bench: j.Bench, Kind: j.Kind, Cfg: j.Cfg}).validate(); err != nil {
-		return err
-	}
-	if err := validatePolicy(j.Kind, &j.Cfg.Arch); err != nil {
-		return err
-	}
-	if j.Scenario == nil {
-		return fmt.Errorf("harness: %s under %s: nil fault scenario", j.Bench, j.Kind)
-	}
-	if err := j.Scenario.Validate(&j.Cfg.Arch); err != nil {
-		return fmt.Errorf("harness: %s under %s: %w", j.Bench, j.Kind, err)
-	}
-	return nil
+// faultedDigest is the layout a faulted Result digests under: the
+// Result's fields, then the scenario and the fault counters — the same
+// field walk, field for field, as the wrapper golden_faults.txt was
+// pinned with.
+type faultedDigest struct {
+	Result
+	FaultReport
 }
 
 // ResiliencePoint is one cell of a resilience sweep: a benchmark under a
@@ -138,41 +69,36 @@ func ResilienceSweep(cfg Config, seed uint64, maxSeverity, workers int, kinds ..
 	for s := 0; s <= maxSeverity; s++ {
 		rep.Severities = append(rep.Severities, s)
 	}
-	var jobs []DegradedJob
+	var jobs []Job
 	for _, bench := range workloads.Names() {
 		for _, k := range kinds {
 			for _, s := range rep.Severities {
-				jobs = append(jobs, DegradedJob{
+				jobs = append(jobs, Job{
 					Bench: bench, Kind: k, Cfg: cfg,
-					Scenario: faults.ScenarioAt(&cfg.Arch, seed, s),
+					Faults: faults.ScenarioAt(&cfg.Arch, seed, s),
 				})
 			}
 		}
 	}
-	results, err := RunDegradedMany(jobs, workers)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return nil, err
 	}
-	base := make(map[string]DegradedResult) // "bench/policy" -> severity-0 run
+	base := make(map[string]Result) // "bench/policy" -> severity-0 run
 	for i, j := range jobs {
-		if j.Scenario != nil && len(j.Scenario.Events) == 0 {
+		if len(j.Faults.Events) == 0 {
 			base[j.Bench+"/"+string(j.Kind)] = results[i]
 		}
 	}
 	for i, j := range jobs {
 		r := results[i]
 		p := ResiliencePoint{
-			Benchmark: j.Bench,
-			Policy:    j.Kind,
-			Severity:  rep.Severities[i%len(rep.Severities)],
-			Cycles:    r.Cycles,
-			ByteHops:  r.DataMovement,
-			Faults: faults.Stats{
-				BankRetirements: r.BankRetirements,
-				LinkFailures:    r.LinkFailures,
-				RRTDegrades:     r.RRTDegrades,
-				FaultCycles:     r.FaultCycles,
-			},
+			Benchmark:  j.Bench,
+			Policy:     j.Kind,
+			Severity:   rep.Severities[i%len(rep.Severities)],
+			Cycles:     r.Cycles,
+			ByteHops:   r.DataMovement,
+			Faults:     r.Faults.Stats,
 			Violations: len(r.Violations),
 		}
 		if b, ok := base[j.Bench+"/"+string(j.Kind)]; ok && b.Cycles > 0 {
@@ -212,71 +138,4 @@ func (rep *ResilienceReport) String() string {
 		}
 	}
 	return b.String()
-}
-
-// DegradedSuite maps [benchmark][policy] to a degraded result, the
-// fault-injected analogue of Suite.
-type DegradedSuite map[string]map[PolicyKind]DegradedResult
-
-// DigestDegradedSuite fingerprints a DegradedSuite in canonical order,
-// exactly like DigestSuite does for healthy runs.
-func DigestDegradedSuite(s DegradedSuite) SuiteDigest {
-	var d SuiteDigest
-	benches := make([]string, 0, len(s))
-	for b := range s {
-		benches = append(benches, b)
-	}
-	sort.Strings(benches)
-	for _, b := range benches {
-		kinds := make([]string, 0, len(s[b]))
-		for k := range s[b] {
-			kinds = append(kinds, string(k))
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			r := s[b][PolicyKind(k)]
-			d.Entries = append(d.Entries, DigestEntry{
-				Benchmark: b,
-				Policy:    PolicyKind(k),
-				Cycles:    r.Cycles,
-				Digest:    r.Digest(),
-			})
-		}
-	}
-	h := newFNV()
-	for _, e := range d.Entries {
-		h.str(e.Benchmark)
-		h.str(string(e.Policy))
-		h.u64(uint64(e.Cycles))
-		h.u64(e.Digest)
-	}
-	d.Hash = uint64(h)
-	return d
-}
-
-// RunDegradedSuite executes every benchmark under each policy with the
-// same fault scenario, fanning out over the worker pool (<= 0 means
-// DefaultWorkers). Results are bit-for-bit independent of the worker
-// count.
-func RunDegradedSuite(cfg Config, sc *faults.Scenario, workers int, kinds ...PolicyKind) (DegradedSuite, error) {
-	var jobs []DegradedJob
-	for _, bench := range workloads.Names() {
-		for _, k := range kinds {
-			jobs = append(jobs, DegradedJob{Bench: bench, Kind: k, Cfg: cfg, Scenario: sc})
-		}
-	}
-	results, err := RunDegradedMany(jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	s := make(DegradedSuite)
-	for i, j := range jobs {
-		per := s[j.Bench]
-		if per == nil {
-			per = make(map[PolicyKind]DegradedResult)
-			s[j.Bench] = per
-		}
-		per[j.Kind] = results[i]
-	}
-	return s, nil
 }

@@ -97,10 +97,15 @@ func hashValue(h *fnv64, v reflect.Value) {
 
 // Digest returns the run's behavioral fingerprint. Any change to a
 // counter, classification, violation message — or the addition of a new
-// counter field — changes the digest.
+// counter field — changes the digest. A faulted run (Faults != nil)
+// digests its fault counters too, under the faultedDigest layout.
 func (r Result) Digest() uint64 {
+	v := reflect.ValueOf(r)
+	if r.Faults != nil {
+		v = reflect.ValueOf(faultedDigest{r, *r.Faults})
+	}
 	h := newFNV()
-	hashValue(&h, reflect.ValueOf(r))
+	hashValue(&h, v)
 	return uint64(h)
 }
 

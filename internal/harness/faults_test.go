@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync"
@@ -24,14 +25,19 @@ func degradedScenario() *faults.Scenario {
 
 var (
 	degOnce  sync.Once
-	degSuite DegradedSuite
+	degSuite Suite
 	degErr   error
 )
 
-func degradedSuite(t *testing.T) DegradedSuite {
+// degradedJob is the prototype job of the degraded golden suite.
+func degradedJob() Job {
+	return Job{Cfg: goldenCfg(), Faults: degradedScenario()}
+}
+
+func degradedSuite(t *testing.T) Suite {
 	t.Helper()
 	degOnce.Do(func() {
-		degSuite, degErr = RunDegradedSuite(goldenCfg(), degradedScenario(), 0, goldenKinds...)
+		degSuite, degErr = RunSuite(degradedJob(), 0, goldenKinds...)
 	})
 	if degErr != nil {
 		t.Fatal(degErr)
@@ -53,7 +59,7 @@ const goldenFaultsHeader = `# Degraded golden suite digests: 8 benchmarks x {S-N
 // the healthy golden layer pins clean ones: any drift in how the
 // simulator degrades fails this test.
 func TestDegradedGoldenDigests(t *testing.T) {
-	got := DigestDegradedSuite(degradedSuite(t)).String()
+	got := DigestSuite(degradedSuite(t)).String()
 	if *update {
 		if err := os.WriteFile(goldenFaultsPath, []byte(goldenFaultsHeader+got), 0o644); err != nil {
 			t.Fatal(err)
@@ -86,18 +92,19 @@ func TestDegradedRunsStayCoherent(t *testing.T) {
 				t.Errorf("%s/%s: %d violations under faults, first: %s",
 					bench, kind, len(r.Violations), r.Violations[0])
 			}
-			if r.BankRetirements != 1 || r.LinkFailures != 1 {
+			f := r.Faults
+			if f.BankRetirements != 1 || f.LinkFailures != 1 {
 				t.Errorf("%s/%s: scenario not fully applied: %d bank retirements, %d link failures",
-					bench, kind, r.BankRetirements, r.LinkFailures)
+					bench, kind, f.BankRetirements, f.LinkFailures)
 			}
 			wantRRT := 0
 			if kind == TDNUCA {
 				wantRRT = 1
 			}
-			if r.RRTDegrades != wantRRT {
-				t.Errorf("%s/%s: %d RRT degrades, want %d", bench, kind, r.RRTDegrades, wantRRT)
+			if f.RRTDegrades != wantRRT {
+				t.Errorf("%s/%s: %d RRT degrades, want %d", bench, kind, f.RRTDegrades, wantRRT)
 			}
-			if r.FaultCycles == 0 {
+			if f.FaultCycles == 0 {
 				t.Errorf("%s/%s: fault injection charged zero cycles", bench, kind)
 			}
 			if total := r.Cycles * sim.Cycles(cfg.Arch.NumCores); r.Stack.Total() != total {
@@ -115,12 +122,12 @@ func TestDegradedRunsStayCoherent(t *testing.T) {
 // determinism contract: the degraded cross-product digests identically
 // regardless of the worker count.
 func TestDegradedWorkerEquivalence(t *testing.T) {
-	ref := DigestDegradedSuite(degradedSuite(t))
-	other, err := RunDegradedSuite(goldenCfg(), degradedScenario(), 3, goldenKinds...)
+	ref := DigestSuite(degradedSuite(t))
+	other, err := RunSuite(degradedJob(), 3, goldenKinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := DigestDegradedSuite(other); !ref.Equal(d) {
+	if d := DigestSuite(other); !ref.Equal(d) {
 		t.Errorf("degraded suite digest depends on worker count.\n--- ref ---\n%s--- 3 workers ---\n%s",
 			ref.String(), d.String())
 	}
@@ -131,21 +138,18 @@ func TestDegradedWorkerEquivalence(t *testing.T) {
 func TestDegradedRejectsBadInput(t *testing.T) {
 	cfg := goldenCfg()
 	cfg.Arch.RRTEntries = 0
-	if _, err := RunDegraded("LU", TDNUCA, cfg, degradedScenario()); err == nil ||
+	if _, err := Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg, Faults: degradedScenario()}); err == nil ||
 		!strings.Contains(err.Error(), "RRTEntries") {
 		t.Errorf("TD-NUCA with zero RRT entries: got %v, want RRTEntries error", err)
 	}
-	if _, err := Run("LU", TDNUCA, cfg); err == nil {
+	if _, err := Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg}); err == nil {
 		t.Error("healthy Run accepted TD-NUCA with zero RRT entries")
 	}
 
 	cfg = goldenCfg()
 	bad := &faults.Scenario{Events: []faults.Event{{Kind: faults.BankRetire, Bank: cfg.Arch.NumCores}}}
-	if _, err := RunDegraded("LU", SNUCA, cfg, bad); err == nil {
+	if _, err := Run(context.Background(), Job{Bench: "LU", Kind: SNUCA, Cfg: cfg, Faults: bad}); err == nil {
 		t.Error("out-of-range bank retirement accepted")
-	}
-	if _, err := RunDegradedMany([]DegradedJob{{Bench: "LU", Kind: SNUCA, Cfg: cfg, Scenario: nil}}, 1); err == nil {
-		t.Error("nil scenario accepted by RunDegradedMany")
 	}
 }
 

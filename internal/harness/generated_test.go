@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -152,7 +153,7 @@ func TestGeneratedMetamorphicFootprint(t *testing.T) {
 	var prev Result
 	for i, bytes := range []uint64{64 << 10, 256 << 10, 1 << 20} {
 		p.Bytes = bytes
-		r, err := Run(p.String(), SNUCA, cfg)
+		r, err := Run(context.Background(), Job{Bench: p.String(), Kind: SNUCA, Cfg: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestGeneratedOnBigMeshes(t *testing.T) {
 		cfg.Arch.NoCContention = true
 		cfg.Arch.CheckInvariants = true
 		for _, kind := range genKinds {
-			r, err := Run(p.String(), kind, cfg)
+			r, err := Run(context.Background(), Job{Bench: p.String(), Kind: kind, Cfg: cfg})
 			if err != nil {
 				t.Fatalf("%dx%d %s: %v", d[0], d[1], kind, err)
 			}
@@ -216,7 +217,7 @@ func TestGeneratedOnBigMeshes(t *testing.T) {
 func TestGeneratedBenchRejection(t *testing.T) {
 	cfg := goldenCfg()
 	for _, bench := range []string{"gen:width=0", "gen:turbo=1", "gen:seed", "NoSuchBench"} {
-		if _, err := Run(bench, SNUCA, cfg); err == nil {
+		if _, err := Run(context.Background(), Job{Bench: bench, Kind: SNUCA, Cfg: cfg}); err == nil {
 			t.Errorf("Run(%q) accepted a bad benchmark name", bench)
 		}
 		if _, err := RunMany([]Job{{Bench: bench, Kind: SNUCA, Cfg: cfg}}, 2); err == nil {

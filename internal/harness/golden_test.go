@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tdnuca/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden suite digests under testdata/")
@@ -28,7 +31,9 @@ func goldenCfg() Config {
 }
 
 // The sequential reference suite is computed once per test binary and
-// shared by the golden, equivalence and determinism layers.
+// shared by the golden, equivalence and determinism layers. It is a plain
+// loop over Run on the calling goroutine — independent of RunMany's pool,
+// which the equivalence test compares against it.
 var (
 	seqOnce  sync.Once
 	seqSuite Suite
@@ -40,13 +45,28 @@ func sequentialSuite(t *testing.T) Suite {
 	t.Helper()
 	seqOnce.Do(func() {
 		start := time.Now()
-		seqSuite, seqErr = RunSuiteSequential(goldenCfg(), goldenKinds...)
+		seqSuite, seqErr = runSequential(goldenCfg(), goldenKinds)
 		seqTime = time.Since(start)
 	})
 	if seqErr != nil {
 		t.Fatal(seqErr)
 	}
 	return seqSuite
+}
+
+func runSequential(cfg Config, kinds []PolicyKind) (Suite, error) {
+	s := make(Suite)
+	for _, bench := range workloads.Names() {
+		s[bench] = make(map[PolicyKind]Result, len(kinds))
+		for _, k := range kinds {
+			r, err := Run(context.Background(), Job{Bench: bench, Kind: k, Cfg: cfg})
+			if err != nil {
+				return nil, err
+			}
+			s[bench][k] = r
+		}
+	}
+	return s, nil
 }
 
 const goldenPath = "testdata/golden_suite.txt"
@@ -105,7 +125,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 	seq := DigestSuite(sequentialSuite(t))
 
 	start := time.Now()
-	par, err := RunSuiteParallel(goldenCfg(), 0, goldenKinds...)
+	par, err := RunSuite(Job{Cfg: goldenCfg()}, 0, goldenKinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +143,11 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 // TestSameSeedDeterminism runs the parallel suite twice with the same
 // seed: completion order varies between runs, the digests must not.
 func TestSameSeedDeterminism(t *testing.T) {
-	a, err := RunSuiteParallel(goldenCfg(), 0, goldenKinds...)
+	a, err := RunSuite(Job{Cfg: goldenCfg()}, 0, goldenKinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSuiteParallel(goldenCfg(), 4, goldenKinds...)
+	b, err := RunSuite(Job{Cfg: goldenCfg()}, 4, goldenKinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +163,7 @@ func TestSameSeedDeterminism(t *testing.T) {
 	base := sequentialSuite(t)["LU"][TDNUCA]
 	cfg := goldenCfg()
 	cfg.Arch.RRTLatency += 3
-	c, err := Run("LU", TDNUCA, cfg)
+	c, err := Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +172,7 @@ func TestSameSeedDeterminism(t *testing.T) {
 	}
 	cfg = goldenCfg()
 	cfg.Factor /= 2
-	c, err = Run("LU", TDNUCA, cfg)
+	c, err = Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,6 +116,14 @@ type Result struct {
 	ManagerStats     core.ManagerStats
 
 	Violations []string
+
+	// Faults is what fault injection applied (nil unless Job.Faults was
+	// set) and Trace the event data of a traced run (nil unless Job.Trace
+	// was set). Neither enters the field walk of Digest — a faulted run
+	// digests under its own layout instead, and tracing only observes —
+	// nor the JSON form of a Result.
+	Faults *FaultReport `digest:"-" json:"-"`
+	Trace  *trace.Data  `digest:"-" json:"-"`
 }
 
 // Speedup returns base.Cycles / r.Cycles, the paper's Fig. 8 metric.
@@ -123,42 +131,25 @@ func (r Result) Speedup(base Result) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
-// Run executes one benchmark under one policy and returns its Result.
-func Run(bench string, kind PolicyKind, cfg Config) (Result, error) {
-	r, _, _, err := run(nil, bench, kind, cfg, nil, nil)
-	return r, err
-}
-
-// RunCtx is Run under a context: cancellation is checked at every
-// task-dispatch boundary (the scheduler's quiesced points, the same
-// places the watchdog checks its cycle budget), so a canceled run stops
-// within one task's worth of simulation instead of completing. The
-// returned error satisfies errors.Is(err, context.Canceled) (or the
-// context's cause) and carries the structured *taskrt.StallError in its
-// chain. A run whose context is never canceled returns a Result
-// byte-identical to Run's — the hook only observes, never steers.
-func RunCtx(ctx context.Context, bench string, kind PolicyKind, cfg Config) (Result, error) {
-	r, _, _, err := run(ctx, bench, kind, cfg, nil, nil)
-	return r, err
-}
-
-// RunTraced is Run with an event tracer attached: alongside the Result it
-// returns the trace.Data for the run (events, interval time series, task
-// slices, cycle stack). Tracing is observation-only, so the Result — and
-// therefore the suite digest — is byte-identical to an untraced Run.
-func RunTraced(bench string, kind PolicyKind, cfg Config, topts trace.Options) (Result, *trace.Data, error) {
-	return RunTracedCtx(nil, bench, kind, cfg, topts)
-}
-
-// RunTracedCtx is RunTraced under a context, with RunCtx's cancellation
-// semantics. The experiment service uses it to cache and stream the
-// interval time series of a job without changing its digest.
-func RunTracedCtx(ctx context.Context, bench string, kind PolicyKind, cfg Config, topts trace.Options) (Result, *trace.Data, error) {
-	res, d, _, err := run(ctx, bench, kind, cfg, trace.New(topts), nil)
-	if err != nil {
-		return res, nil, err
+// Run executes one job and returns its Result. The job is validated
+// before it runs (see Job.Validate); every error names the job it came
+// from.
+//
+// ctx bounds the run: cancellation is checked at every task-dispatch
+// boundary (the scheduler's quiesced points, the same places the
+// watchdog checks its cycle budget and the fault injector advances), so
+// a canceled run stops within one task's worth of simulation. The error
+// then satisfies errors.Is(err, context.Canceled) (or the context's
+// cause) and carries the structured *taskrt.StallError in its chain. A
+// nil ctx, or one that can never be canceled (Done returns nil),
+// installs no check at all; a run whose context is never canceled
+// returns the same Result either way — the check only observes.
+func Run(ctx context.Context, j Job) (Result, error) {
+	if err := j.check(); err != nil {
+		return Result{}, err
 	}
-	return res, d, nil
+	r, err := run(ctx, j)
+	return r, identify(j.Bench, j.Kind, err)
 }
 
 // validatePolicy rejects policy/architecture combinations that cannot
@@ -195,10 +186,13 @@ func resolveSpec(bench string, f workloads.Factor) (workloads.Spec, error) {
 	return workloads.Spec{}, fmt.Errorf("harness: unknown benchmark %q", bench)
 }
 
-func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *trace.Tracer, sc *faults.Scenario) (Result, *trace.Data, faults.Stats, error) {
-	if ctx != nil {
+// run executes a validated job. Only cancellation errors come back
+// tagged with the job; its callers tag the rest.
+func run(ctx context.Context, j Job) (Result, error) {
+	bench, kind, cfg := j.Bench, j.Kind, j.Cfg
+	if ctx != nil && ctx.Done() != nil {
 		if ctx.Err() != nil {
-			return Result{}, nil, faults.Stats{}, fmt.Errorf("harness: %s under %s: %w", bench, kind, ctxCause(ctx))
+			return Result{}, fmt.Errorf("harness: %s under %s: %w", bench, kind, ctxCause(ctx))
 		}
 		// Dispatch boundaries are the scheduler's quiesced points: no task
 		// mid-flight, so stopping there leaves no half-simulated state to
@@ -208,14 +202,15 @@ func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *tra
 	}
 	spec, err := resolveSpec(bench, cfg.Factor)
 	if err != nil {
-		return Result{}, nil, faults.Stats{}, err
-	}
-	if err := validatePolicy(kind, &cfg.Arch); err != nil {
-		return Result{}, nil, faults.Stats{}, err
+		return Result{}, err
 	}
 	m, err := machine.New(&cfg.Arch, cfg.FragEvery, cfg.Seed)
 	if err != nil {
-		return Result{}, nil, faults.Stats{}, err
+		return Result{}, err
+	}
+	var tr *trace.Tracer
+	if j.Trace != nil {
+		tr = trace.New(*j.Trace)
 	}
 	m.SetTracer(tr)
 
@@ -243,30 +238,27 @@ func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *tra
 		m.SetPolicy(policy.NewSNUCA())
 		hooks = mgr
 	default:
-		return Result{}, nil, faults.Stats{}, fmt.Errorf("harness: unknown policy %q", kind)
+		return Result{}, fmt.Errorf("harness: unknown policy %q", kind)
 	}
 
-	// Fault injection: a validated scenario is turned into an injector
+	// Fault injection: the validated scenario is turned into an injector
 	// whose Advance runs at every task-dispatch boundary (the only points
 	// where no task is mid-flight), charging reconfiguration cycles to the
 	// dispatching core. On a healthy run the hook stays nil and the code
 	// path — and therefore the digest — is untouched.
 	var inj *faults.Injector
-	if sc != nil {
-		if err := sc.Validate(&cfg.Arch); err != nil {
-			return Result{}, nil, faults.Stats{}, err
-		}
+	if j.Faults != nil {
 		var deg faults.RRTDegrader
 		if mgr != nil {
 			deg = mgr
 		}
-		inj = faults.NewInjector(m, deg, sc)
+		inj = faults.NewInjector(m, deg, j.Faults)
 		cfg.RT.OnDispatch = inj.Advance
 	}
 
 	rt := taskrt.New(m, hooks, cfg.RT)
 	if err := buildChecked(spec, rt); err != nil {
-		return Result{}, nil, faults.Stats{}, wrapCanceled(ctx, bench, kind, err)
+		return Result{}, wrapCanceled(ctx, bench, kind, err)
 	}
 
 	res := Result{
@@ -333,9 +325,8 @@ func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *tra
 	}
 	res.Stack = stack
 
-	var data *trace.Data
 	if tr != nil {
-		data = &trace.Data{
+		data := &trace.Data{
 			Benchmark: bench,
 			Policy:    string(kind),
 			NumCores:  cfg.Arch.NumCores,
@@ -355,12 +346,12 @@ func run(ctx context.Context, bench string, kind PolicyKind, cfg Config, tr *tra
 				Start: t.StartedAt, End: t.EndedAt,
 			})
 		}
+		res.Trace = data
 	}
-	var fst faults.Stats
 	if inj != nil {
-		fst = inj.Stats()
+		res.Faults = &FaultReport{Scenario: j.Faults.String(), Stats: inj.Stats()}
 	}
-	return res, data, fst, nil
+	return res, nil
 }
 
 // ctxCause returns why ctx ended, defaulting to context.Canceled when
@@ -402,23 +393,6 @@ func buildChecked(spec workloads.Spec, rt *taskrt.Runtime) (err error) {
 	return nil
 }
 
-// MustRun is Run but panics on error, for the CLIs and benchmarks.
-func MustRun(bench string, kind PolicyKind, cfg Config) Result {
-	r, err := Run(bench, kind, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Suite holds the results of every benchmark under a set of policies,
 // keyed [benchmark][policy]. The main figures all derive from one Suite.
 type Suite map[string]map[PolicyKind]Result
-
-// RunSuite executes every Table II benchmark under each given policy,
-// fanning the runs out across DefaultWorkers goroutines. Results are
-// bit-for-bit identical to RunSuiteSequential (each run owns its machine
-// and runtime); pass an explicit worker count via RunSuiteParallel.
-func RunSuite(cfg Config, kinds ...PolicyKind) (Suite, error) {
-	return RunSuiteParallel(cfg, 0, kinds...)
-}

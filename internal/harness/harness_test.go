@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,16 +20,16 @@ func fastCfg() Config {
 }
 
 func TestRunUnknownBenchmarkOrPolicy(t *testing.T) {
-	if _, err := Run("nope", SNUCA, fastCfg()); err == nil {
+	if _, err := Run(context.Background(), Job{Bench: "nope", Kind: SNUCA, Cfg: fastCfg()}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Run("MD5", PolicyKind("bogus"), fastCfg()); err == nil {
+	if _, err := Run(context.Background(), Job{Bench: "MD5", Kind: PolicyKind("bogus"), Cfg: fastCfg()}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestRunProducesMetrics(t *testing.T) {
-	r, err := Run("MD5", SNUCA, fastCfg())
+	r, err := Run(context.Background(), Job{Bench: "MD5", Kind: SNUCA, Cfg: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestRunProducesMetrics(t *testing.T) {
 }
 
 func TestTDNUCAResultCarriesExtras(t *testing.T) {
-	r, err := Run("LU", TDNUCA, fastCfg())
+	r, err := Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestTDNUCAResultCarriesExtras(t *testing.T) {
 }
 
 func TestRNUCAResultCarriesClasses(t *testing.T) {
-	r, err := Run("Kmeans", RNUCA, fastCfg())
+	r, err := Run(context.Background(), Job{Bench: "Kmeans", Kind: RNUCA, Cfg: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRNUCAResultCarriesClasses(t *testing.T) {
 
 func TestSuiteAndMainFigures(t *testing.T) {
 	cfg := fastCfg()
-	s, err := RunSuite(cfg, SNUCA, RNUCA, TDNUCA, TDBypassOnly)
+	s, err := RunSuite(Job{Cfg: cfg}, 0, SNUCA, RNUCA, TDNUCA, TDBypassOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,11 @@ func TestTableII(t *testing.T) {
 
 func TestRuntimeOverheadSmall(t *testing.T) {
 	cfg := fastCfg()
-	base, err := Run("Kmeans", SNUCA, cfg)
+	base, err := Run(context.Background(), Job{Bench: "Kmeans", Kind: SNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	no, err := Run("Kmeans", TDNoISA, cfg)
+	no, err := Run(context.Background(), Job{Bench: "Kmeans", Kind: TDNoISA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestRRTLatencySweepMonotone(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	cfg := fastCfg()
-	a, err := Run("Jacobi", TDNUCA, cfg)
+	a, err := Run(context.Background(), Job{Bench: "Jacobi", Kind: TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("Jacobi", TDNUCA, cfg)
+	b, err := Run(context.Background(), Job{Bench: "Jacobi", Kind: TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,27 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tdnuca/internal/faults"
+	"tdnuca/internal/trace"
 	"tdnuca/internal/workloads"
 )
 
 // Job names one simulation: a benchmark executed under a policy with a
-// configuration. RunMany executes a batch of them concurrently; every
-// multi-run experiment (suites, sweeps, ablations) is expressed as a
-// batch of Jobs.
+// configuration, optionally on faulted hardware and optionally traced.
+// Run executes one Job and RunMany a batch of them; every multi-run
+// experiment (suites, sweeps, ablations, the resilience study) is
+// expressed as a batch of Jobs.
 type Job struct {
 	Bench string
 	Kind  PolicyKind
 	Cfg   Config
+
+	// Faults is the fault scenario injected at task-dispatch boundaries
+	// (DESIGN.md §11); nil runs healthy hardware.
+	Faults *faults.Scenario
+	// Trace attaches the event tracer with these options (DESIGN.md §10);
+	// nil runs untraced. Tracing never moves the Result's digest.
+	Trace *trace.Options
 }
 
 // DefaultWorkers is the worker-pool size used when a caller passes
@@ -28,49 +38,97 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // Validate is the exported form of the up-front job check, for callers
 // that admit jobs long before running them: the experiment service
 // (internal/serve) rejects a malformed submission at the HTTP boundary
-// with exactly the error the pool would have produced.
+// with exactly the error Run would have produced.
 func (j Job) Validate() error { return j.validate() }
 
-// validate rejects a malformed job before any goroutine is spawned, so
+// validate rejects a malformed job before any simulation starts, so
 // RunMany reports configuration errors deterministically (lowest job
-// index first) regardless of scheduling. Every branch carries the
-// "harness: <bench> under <kind>" context so a failing job in a big
-// batch is identifiable from the error alone (pinned by
-// TestJobValidateErrorFormat).
+// index first) regardless of scheduling. Every branch but the unknown
+// policy carries the "harness: <bench> under <kind>" context so a
+// failing job in a big batch is identifiable from the error alone
+// (pinned by TestJobValidateErrorFormat).
 func (j Job) validate() error {
 	if _, err := resolveSpec(j.Bench, j.Cfg.Factor); err != nil {
-		return fmt.Errorf("harness: %s under %s: %w", j.Bench, j.Kind, err)
+		return identify(j.Bench, j.Kind, err)
 	}
+	return j.check()
+}
+
+// check is validate minus resolving the workload, for Run: run resolves
+// it anyway, and building a workload twice per run is not free (all
+// eight Table II specs, or a whole generated DAG).
+func (j Job) check() error {
 	switch j.Kind {
 	case SNUCA, RNUCA, TDNUCA, TDBypassOnly, TDNoISA:
 	default:
 		return fmt.Errorf("harness: unknown policy %q", j.Kind)
 	}
 	if err := j.Cfg.Arch.Validate(); err != nil {
-		return fmt.Errorf("harness: %s under %s: %w", j.Bench, j.Kind, err)
+		return identify(j.Bench, j.Kind, err)
+	}
+	if err := validatePolicy(j.Kind, &j.Cfg.Arch); err != nil {
+		return identify(j.Bench, j.Kind, err)
+	}
+	if j.Faults != nil {
+		if err := j.Faults.Validate(&j.Cfg.Arch); err != nil {
+			return identify(j.Bench, j.Kind, err)
+		}
 	}
 	return nil
 }
 
-// runPoolCtx is the one worker pool under every *Many entry point: it
-// fans jobs out to up to `workers` goroutines, each running `one` with
-// the pool's context. The first failure cancels that context, so
-// in-flight runs abort at their next task-dispatch boundary (see
-// RunCtx) and a failing batch drains promptly instead of simulating
-// results nobody will read. The pool never leaks goroutines: it returns
-// only after every worker has exited.
-//
-// The returned error is deterministic wherever the failure itself is:
-// the lowest-index job that failed on its own merits wins; errors that
-// merely say "aborted because the context ended" (another job's failure
-// or the caller canceling ctx) are reported only when no such failure
-// exists.
-func runPoolCtx[J, R any](ctx context.Context, jobs []J, workers int, one func(context.Context, J) (R, error)) ([]R, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// batchError picks the canonical error of a finished batch: the
+// lowest-index error that is not a cancellation echo. A job aborted
+// because another job's failure canceled the pool wraps
+// context.Canceled and only ever exists alongside that originating
+// failure, so skipping those keeps the reported error deterministic:
+// the job that actually failed.
+func batchError(errs []error) error {
+	var canceled error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, context.Canceled) {
+			if canceled == nil {
+				canceled = err
+			}
+			continue
+		}
+		return err
 	}
-	if ctx.Err() != nil {
-		return nil, ctxCause(ctx)
+	return canceled
+}
+
+// identify tags a failure with the job that produced it, so a batch
+// error is attributable without replaying the batch. Cancellation
+// echoes pass through untouched: they already carry the job tag (see
+// wrapCanceled) and batchError filters them out anyway.
+func identify(bench string, kind PolicyKind, err error) error {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return fmt.Errorf("harness: %s under %s: %w", bench, kind, err)
+}
+
+// RunMany executes the jobs on a worker pool of up to workers goroutines
+// (workers <= 0 means DefaultWorkers) and returns the results in job
+// order. Each job gets a fully independent machine and runtime, so runs
+// are bit-for-bit identical to executing the same jobs one by one with
+// Run — results depend only on the Job, never on scheduling.
+//
+// Errors are deterministic: every job is validated up front and the
+// lowest-index error is returned before any work starts. Should a run
+// nevertheless fail mid-flight, the first failure cancels the pool's
+// context, so in-flight runs abort at their next dispatch boundary (see
+// Run) and the batch drains promptly; RunMany then returns the
+// lowest-index error of a job that itself failed. It never leaks
+// goroutines: it returns only after every worker has exited.
+func RunMany(jobs []Job, workers int) ([]Result, error) {
+	for _, j := range jobs {
+		if err := j.validate(); err != nil {
+			return nil, err
+		}
 	}
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -78,9 +136,9 @@ func runPoolCtx[J, R any](ctx context.Context, jobs []J, workers int, one func(c
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	results := make([]R, len(jobs))
+	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	cctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -90,12 +148,12 @@ func runPoolCtx[J, R any](ctx context.Context, jobs []J, workers int, one func(c
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || cctx.Err() != nil {
+				if i >= len(jobs) || ctx.Err() != nil {
 					return
 				}
-				r, err := one(cctx, jobs[i])
+				r, err := run(ctx, jobs[i]) // validated above
 				if err != nil {
-					errs[i] = err
+					errs[i] = identify(jobs[i].Bench, jobs[i].Kind, err)
 					cancel()
 					return
 				}
@@ -110,105 +168,25 @@ func runPoolCtx[J, R any](ctx context.Context, jobs []J, workers int, one func(c
 	return results, nil
 }
 
-// batchError picks the canonical error of a finished batch: the
-// lowest-index error that is not a cancellation echo. A job aborted
-// because the pool context ended wraps context.Canceled (or the
-// caller's DeadlineExceeded) and only ever exists alongside either the
-// originating failure or a caller-side cancellation, so skipping those
-// keeps the reported error deterministic: the job that actually failed.
-func batchError(errs []error) error {
-	var canceled error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if canceled == nil {
-				canceled = err
-			}
-			continue
-		}
-		return err
-	}
-	return canceled
-}
-
-// identify tags a mid-flight failure with the job that produced it, so a
-// batch error is attributable without replaying the batch. Cancellation
-// echoes pass through untouched: they already carry the job tag (see
-// wrapCanceled) and batchError filters them out anyway.
-func identify(bench string, kind PolicyKind, err error) error {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return fmt.Errorf("harness: %s under %s: %w", bench, kind, err)
-}
-
-// RunMany executes the jobs on a worker pool of up to workers goroutines
-// (workers <= 0 means DefaultWorkers) and returns the results in job
-// order. Each job gets a fully independent machine and runtime, so runs
-// are bit-for-bit identical to executing the same jobs sequentially —
-// results depend only on (Bench, Kind, Cfg), never on scheduling.
-//
-// Errors are deterministic: every job is validated up front and the
-// lowest-index error is returned before any work starts. Should a run
-// nevertheless fail mid-flight, the pool cancels the remaining in-flight
-// runs at their next dispatch boundary, drains, and returns the
-// lowest-index error of a job that itself failed. RunMany never leaks
-// goroutines: it returns only after every worker has exited.
-func RunMany(jobs []Job, workers int) ([]Result, error) {
-	return RunManyCtx(context.Background(), jobs, workers)
-}
-
-// RunManyCtx is RunMany under a context: canceling ctx aborts queued and
-// in-flight jobs at their next task-dispatch boundary. It is the batch
-// primitive the experiment service runs on — per-job StallError budgets
-// (Config.RT.MaxCycles) plus batch-level cancellation.
-func RunManyCtx(ctx context.Context, jobs []Job, workers int) ([]Result, error) {
-	for _, j := range jobs {
-		if err := j.validate(); err != nil {
-			return nil, err
-		}
-	}
-	return runPoolCtx(ctx, jobs, workers, func(ctx context.Context, j Job) (Result, error) {
-		r, err := RunCtx(ctx, j.Bench, j.Kind, j.Cfg)
-		return r, identify(j.Bench, j.Kind, err)
-	})
-}
-
-// RunDegradedMany is RunMany for fault-injected jobs: the batch runs on
-// a worker pool of up to workers goroutines (<= 0 means DefaultWorkers)
-// and results come back in job order, bit-for-bit identical to a
-// sequential execution. Validation (including scenario validation) is
-// done up front so errors are deterministic.
-func RunDegradedMany(jobs []DegradedJob, workers int) ([]DegradedResult, error) {
-	return RunDegradedManyCtx(context.Background(), jobs, workers)
-}
-
-// RunDegradedManyCtx is RunDegradedMany under a context, with
-// RunManyCtx's first-failure and cancellation semantics.
-func RunDegradedManyCtx(ctx context.Context, jobs []DegradedJob, workers int) ([]DegradedResult, error) {
-	for _, j := range jobs {
-		if err := j.validate(); err != nil {
-			return nil, err
-		}
-	}
-	return runPoolCtx(ctx, jobs, workers, func(ctx context.Context, j DegradedJob) (DegradedResult, error) {
-		r, err := RunDegradedCtx(ctx, j.Bench, j.Kind, j.Cfg, j.Scenario)
-		return r, identify(j.Bench, j.Kind, err)
-	})
-}
-
-// suiteJobs builds the benchmark x policy cross-product in canonical
-// order (Table II benchmark order, then the given policy order).
-func suiteJobs(cfg Config, kinds []PolicyKind) []Job {
+// RunSuite executes every Table II benchmark under each given policy,
+// with proto's configuration, fault scenario and tracing (its Bench and
+// Kind are ignored), on a worker pool of up to workers goroutines
+// (<= 0 means DefaultWorkers). Each run owns its machine and runtime, so
+// the Suite — and its DigestSuite — is independent of the worker count.
+func RunSuite(proto Job, workers int, kinds ...PolicyKind) (Suite, error) {
 	jobs := make([]Job, 0, len(workloads.Names())*len(kinds))
 	for _, bench := range workloads.Names() {
 		for _, k := range kinds {
-			jobs = append(jobs, Job{Bench: bench, Kind: k, Cfg: cfg})
+			j := proto
+			j.Bench, j.Kind = bench, k
+			jobs = append(jobs, j)
 		}
 	}
-	return jobs
+	results, err := RunMany(jobs, workers)
+	if err != nil {
+		return nil, err
+	}
+	return assembleSuite(jobs, results), nil
 }
 
 // assembleSuite indexes RunMany results back into the Suite map.
@@ -223,36 +201,4 @@ func assembleSuite(jobs []Job, results []Result) Suite {
 		per[j.Kind] = results[i]
 	}
 	return s
-}
-
-// RunSuiteParallel executes every Table II benchmark under each policy on
-// a worker pool of up to workers goroutines (<= 0 means DefaultWorkers).
-// The resulting Suite is identical to RunSuiteSequential's: each run owns
-// its machine and runtime, so DigestSuite fingerprints match bit for bit.
-func RunSuiteParallel(cfg Config, workers int, kinds ...PolicyKind) (Suite, error) {
-	jobs := suiteJobs(cfg, kinds)
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	return assembleSuite(jobs, results), nil
-}
-
-// RunSuiteSequential executes the suite one run at a time on the calling
-// goroutine — the reference implementation the equivalence tests compare
-// RunSuiteParallel against, and the right choice when profiling a single
-// run or running inside an already-parallel caller.
-func RunSuiteSequential(cfg Config, kinds ...PolicyKind) (Suite, error) {
-	s := make(Suite)
-	for _, bench := range workloads.Names() {
-		s[bench] = make(map[PolicyKind]Result, len(kinds))
-		for _, k := range kinds {
-			r, err := Run(bench, k, cfg)
-			if err != nil {
-				return nil, err
-			}
-			s[bench][k] = r
-		}
-	}
-	return s, nil
 }

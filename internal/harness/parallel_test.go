@@ -1,12 +1,19 @@
 package harness
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"tdnuca/internal/faults"
+	"tdnuca/internal/trace"
 )
 
+// TestRunManyMatchesRunJobByJob proves the pool changes nothing: every
+// job of a mixed batch — healthy, faulted and traced — digests in RunMany
+// exactly as it does run alone.
 func TestRunManyMatchesRunJobByJob(t *testing.T) {
 	cfg := fastCfg()
 	jobs := []Job{
@@ -14,6 +21,8 @@ func TestRunManyMatchesRunJobByJob(t *testing.T) {
 		{Bench: "LU", Kind: TDNUCA, Cfg: cfg},
 		{Bench: "Kmeans", Kind: RNUCA, Cfg: cfg},
 		{Bench: "MD5", Kind: TDBypassOnly, Cfg: cfg},
+		{Bench: "LU", Kind: SNUCA, Cfg: cfg, Faults: faults.ScenarioAt(&cfg.Arch, 1, 1)},
+		{Bench: "MD5", Kind: TDNUCA, Cfg: cfg, Trace: &trace.Options{}},
 	}
 	got, err := RunMany(jobs, 3)
 	if err != nil {
@@ -23,7 +32,7 @@ func TestRunManyMatchesRunJobByJob(t *testing.T) {
 		t.Fatalf("got %d results for %d jobs", len(got), len(jobs))
 	}
 	for i, j := range jobs {
-		want, err := Run(j.Bench, j.Kind, j.Cfg)
+		want, err := Run(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,6 +43,10 @@ func TestRunManyMatchesRunJobByJob(t *testing.T) {
 		if got[i].Digest() != want.Digest() {
 			t.Errorf("job %d (%s/%s): parallel digest %016x != sequential %016x",
 				i, j.Bench, j.Kind, got[i].Digest(), want.Digest())
+		}
+		if (got[i].Faults != nil) != (j.Faults != nil) || (got[i].Trace != nil) != (j.Trace != nil) {
+			t.Errorf("job %d (%s/%s): faults/trace reports %v/%v, want %v/%v", i, j.Bench, j.Kind,
+				got[i].Faults != nil, got[i].Trace != nil, j.Faults != nil, j.Trace != nil)
 		}
 	}
 }
@@ -87,7 +100,7 @@ func TestRunManyInvalidArchConfig(t *testing.T) {
 
 func TestRunSuiteParallelUnknownPolicyAbortsCleanly(t *testing.T) {
 	before := runtime.NumGoroutine()
-	if _, err := RunSuiteParallel(fastCfg(), 4, SNUCA, PolicyKind("bogus")); err == nil {
+	if _, err := RunSuite(Job{Cfg: fastCfg()}, 4, SNUCA, PolicyKind("bogus")); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 	assertNoGoroutineLeak(t, before)
@@ -96,7 +109,7 @@ func TestRunSuiteParallelUnknownPolicyAbortsCleanly(t *testing.T) {
 func TestRunSuiteParallelLeaksNoGoroutines(t *testing.T) {
 	cfg := fastCfg()
 	before := runtime.NumGoroutine()
-	s, err := RunSuiteParallel(cfg, 8, SNUCA)
+	s, err := RunSuite(Job{Cfg: cfg}, 8, SNUCA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +149,7 @@ func TestRunManyEmptyAndSingle(t *testing.T) {
 }
 
 func TestDigestSensitivity(t *testing.T) {
-	r, err := Run("MD5", SNUCA, fastCfg())
+	r, err := Run(context.Background(), Job{Bench: "MD5", Kind: SNUCA, Cfg: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +183,7 @@ func TestDigestSensitivity(t *testing.T) {
 
 func TestDigestSuiteCanonicalOrder(t *testing.T) {
 	cfg := fastCfg()
-	s, err := RunSuiteParallel(cfg, 0, TDNUCA, SNUCA) // deliberately unsorted
+	s, err := RunSuite(Job{Cfg: cfg}, 0, TDNUCA, SNUCA) // deliberately unsorted
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +204,21 @@ func TestDigestSuiteCanonicalOrder(t *testing.T) {
 	}
 }
 
-func BenchmarkRunSuiteSequential(b *testing.B) {
+func BenchmarkRunSuiteOneWorker(b *testing.B) {
 	cfg := fastCfg()
 	cfg.Arch.CheckInvariants = false
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSuiteSequential(cfg, SNUCA, RNUCA, TDNUCA); err != nil {
+		if _, err := RunSuite(Job{Cfg: cfg}, 1, SNUCA, RNUCA, TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRunSuiteParallel(b *testing.B) {
+func BenchmarkRunSuite(b *testing.B) {
 	cfg := fastCfg()
 	cfg.Arch.CheckInvariants = false
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSuiteParallel(cfg, 0, SNUCA, RNUCA, TDNUCA); err != nil {
+		if _, err := RunSuite(Job{Cfg: cfg}, 0, SNUCA, RNUCA, TDNUCA); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -28,17 +29,18 @@ func TestTracingDigestNeutral(t *testing.T) {
 	kinds := []PolicyKind{SNUCA, RNUCA, TDNUCA}
 	for _, bench := range workloads.Names() {
 		for _, kind := range kinds {
-			plain, err := Run(bench, kind, cfg)
+			plain, err := Run(context.Background(), Job{Bench: bench, Kind: kind, Cfg: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// 4M-event capacity: the chattiest 1/128-scale run (Redblack
 			// under S-NUCA) emits ~3.2M events, and the zero-drop check
 			// below wants the buffer to hold all of them.
-			traced, data, err := RunTraced(bench, kind, cfg, trace.Options{Capacity: 4 << 20})
+			traced, err := Run(context.Background(), Job{Bench: bench, Kind: kind, Cfg: cfg, Trace: &trace.Options{Capacity: 4 << 20}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			data := traced.Trace
 			if pd, td := plain.Digest(), traced.Digest(); pd != td {
 				t.Errorf("%s/%s: traced digest %x != untraced %x — tracing perturbed the run", bench, kind, td, pd)
 			}
@@ -60,7 +62,7 @@ func TestCycleStackSumsToTotal(t *testing.T) {
 	kinds := []PolicyKind{SNUCA, RNUCA, TDNUCA}
 	for _, bench := range workloads.Names() {
 		for _, kind := range kinds {
-			r, err := Run(bench, kind, cfg)
+			r, err := Run(context.Background(), Job{Bench: bench, Kind: kind, Cfg: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,10 +91,11 @@ func TestCycleStackSumsToTotal(t *testing.T) {
 // one row per sample.
 func TestTraceExports(t *testing.T) {
 	cfg := traceTestCfg()
-	res, data, err := RunTraced("LU", TDNUCA, cfg, trace.Options{Interval: 5000})
+	res, err := Run(context.Background(), Job{Bench: "LU", Kind: TDNUCA, Cfg: cfg, Trace: &trace.Options{Interval: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := res.Trace
 
 	var chrome bytes.Buffer
 	if err := trace.WriteChrome(&chrome, data); err != nil {

@@ -16,8 +16,8 @@ import (
 // through the policies. A nil w means stderr; pa 0 disarms the trace.
 //
 // The watch state is a Machine field, not a package-level variable, so
-// machines running concurrently (harness.RunSuiteParallel) never share
-// or race on it.
+// machines running concurrently (harness.RunMany's worker pool) never
+// share or race on it.
 func (m *Machine) SetWatchBlock(pa amath.Addr, w io.Writer) {
 	if w == nil {
 		w = os.Stderr

@@ -23,6 +23,7 @@ import (
 	"tdnuca/internal/faults"
 	"tdnuca/internal/harness"
 	"tdnuca/internal/sim"
+	"tdnuca/internal/trace"
 	"tdnuca/internal/workloads"
 )
 
@@ -199,13 +200,15 @@ func (j JobSpec) Address() uint64 {
 // this repo: zero-padded lowercase hex.
 func (j JobSpec) ID() string { return fmt.Sprintf("%016x", j.Address()) }
 
-// config builds the harness configuration for a normalized spec.
-func (j JobSpec) config() (harness.Config, error) {
+// job builds the harness job a normalized spec runs: the configuration
+// its fields select, its canonical policy, its fault scenario (nil when
+// healthy) and, for a traced spec, the default trace options.
+func (j JobSpec) job() (harness.Job, error) {
 	cfg := harness.DefaultConfig()
 	if j.Mesh != "4x4" {
 		w, h, err := parseMesh(j.Mesh)
 		if err != nil {
-			return cfg, err
+			return harness.Job{}, err
 		}
 		cfg.Arch = arch.ScaledMeshConfig(w, h)
 		cfg.Arch.NoCContention = true
@@ -214,7 +217,19 @@ func (j JobSpec) config() (harness.Config, error) {
 	cfg.Seed = j.Seed
 	cfg.FragEvery = j.fragEvery()
 	cfg.RT.MaxCycles = sim.Cycles(j.MaxCycles)
-	return cfg, nil
+	kind, _ := policyKind(j.Policy) // normalize has already vetted it
+	job := harness.Job{Bench: j.Bench, Kind: kind, Cfg: cfg}
+	if j.Faults != "" {
+		sc, err := faults.Parse(j.Faults)
+		if err != nil {
+			return harness.Job{}, err
+		}
+		job.Faults = sc
+	}
+	if j.Trace {
+		job.Trace = &trace.Options{}
+	}
+	return job, nil
 }
 
 // fragEvery maps the normalized wire period to the harness's: -1
@@ -226,33 +241,12 @@ func (j JobSpec) fragEvery() int {
 	return j.FragEvery
 }
 
-// kind returns the canonical policy; normalize has already vetted it.
-func (j JobSpec) kind() harness.PolicyKind {
-	k, _ := policyKind(j.Policy)
-	return k
-}
-
-// scenario parses the (already canonicalized) fault schedule, or nil.
-func (j JobSpec) scenario() (*faults.Scenario, error) {
-	if j.Faults == "" {
-		return nil, nil
-	}
-	return faults.Parse(j.Faults)
-}
-
-// validate runs the exact admission check the harness pool would: a job
-// rejected here is precisely a job RunMany would refuse.
+// validate runs the exact admission check the harness would: a job
+// rejected here is precisely a job harness.Run would refuse.
 func (j JobSpec) validate() error {
-	cfg, err := j.config()
+	job, err := j.job()
 	if err != nil {
 		return err
 	}
-	sc, err := j.scenario()
-	if err != nil {
-		return err
-	}
-	if sc != nil {
-		return harness.DegradedJob{Bench: j.Bench, Kind: j.kind(), Cfg: cfg, Scenario: sc}.Validate()
-	}
-	return harness.Job{Bench: j.Bench, Kind: j.kind(), Cfg: cfg}.Validate()
+	return job.Validate()
 }

@@ -327,9 +327,9 @@ func (s *Server) Draining() bool {
 }
 
 // ResultPayload is the cached response body of a successful job. The
-// digest is the harness Result digest (or the DegradedResult digest for
-// fault runs) — the same fingerprint the golden files pin — so clients
-// can verify cache integrity against a direct run.
+// digest is the harness Result digest (which covers the fault counters
+// of a fault run) — the same fingerprint the golden files pin — so
+// clients can verify cache integrity against a direct run.
 type ResultPayload struct {
 	Schema   string                 `json:"schema"`
 	ID       string                 `json:"id"`
@@ -342,7 +342,7 @@ type ResultPayload struct {
 }
 
 // DegradedCounters carries the fault-injection counters of a degraded
-// run (mirrors harness.DegradedResult's extras).
+// run (the wire form of harness.FaultReport).
 type DegradedCounters struct {
 	Scenario        string `json:"scenario"`
 	BankRetirements int    `json:"bank_retirements"`
@@ -383,49 +383,31 @@ func (s *Server) execute(ctx context.Context, st *jobState) {
 // runSpec performs the simulation for a normalized spec and marshals
 // the canonical payload. It holds no locks: this is the long part.
 func (s *Server) runSpec(ctx context.Context, id string, spec JobSpec) ([]byte, *APIError) {
-	cfg, err := spec.config()
+	job, err := spec.job()
 	if err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "internal", "config: %v", err)
+		return nil, apiErrorf(http.StatusInternalServerError, "internal", "job: %v", err)
 	}
-	if cfg.RT.MaxCycles == 0 && s.cfg.MaxCycles > 0 {
-		cfg.RT.MaxCycles = sim.Cycles(s.cfg.MaxCycles)
+	if job.Cfg.RT.MaxCycles == 0 && s.cfg.MaxCycles > 0 {
+		job.Cfg.RT.MaxCycles = sim.Cycles(s.cfg.MaxCycles)
 	}
-	p := ResultPayload{Schema: PayloadSchema, ID: id, Spec: spec}
-	switch {
-	case spec.Faults != "":
-		sc, err := spec.scenario()
-		if err != nil {
-			return nil, apiErrorf(http.StatusInternalServerError, "internal", "scenario: %v", err)
-		}
-		r, err := harness.RunDegradedCtx(ctx, spec.Bench, spec.kind(), cfg, sc)
-		if err != nil {
-			return nil, classify(err)
-		}
+	r, err := harness.Run(ctx, job)
+	if err != nil {
+		return nil, classify(err)
+	}
+	p := ResultPayload{Schema: PayloadSchema, ID: id, Spec: spec,
+		Digest: fmt.Sprintf("%016x", r.Digest()), Result: r}
+	if f := r.Faults; f != nil {
 		p.Degraded = true
-		p.Digest = fmt.Sprintf("%016x", r.Digest())
-		p.Result = r.Result
 		p.Faults = &DegradedCounters{
-			Scenario:        r.Scenario,
-			BankRetirements: r.BankRetirements,
-			LinkFailures:    r.LinkFailures,
-			RRTDegrades:     r.RRTDegrades,
-			FaultCycles:     uint64(r.FaultCycles),
+			Scenario:        f.Scenario,
+			BankRetirements: f.BankRetirements,
+			LinkFailures:    f.LinkFailures,
+			RRTDegrades:     f.RRTDegrades,
+			FaultCycles:     uint64(f.FaultCycles),
 		}
-	case spec.Trace:
-		r, data, err := harness.RunTracedCtx(ctx, spec.Bench, spec.kind(), cfg, trace.Options{})
-		if err != nil {
-			return nil, classify(err)
-		}
-		p.Digest = fmt.Sprintf("%016x", r.Digest())
-		p.Result = r
-		p.Samples = data.Samples
-	default:
-		r, err := harness.RunCtx(ctx, spec.Bench, spec.kind(), cfg)
-		if err != nil {
-			return nil, classify(err)
-		}
-		p.Digest = fmt.Sprintf("%016x", r.Digest())
-		p.Result = r
+	}
+	if r.Trace != nil {
+		p.Samples = r.Trace.Samples
 	}
 	b, err := json.Marshal(p)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"tdnuca/internal/harness"
+	"tdnuca/internal/trace"
 	"tdnuca/internal/workloads"
 )
 
@@ -170,7 +172,7 @@ func TestSubmitStatusResultStreamRoundTrip(t *testing.T) {
 	// The payload digest is the harness digest of a direct run.
 	cfg := harness.DefaultConfig()
 	cfg.Factor = workloads.Factor(testFactor)
-	want, err := harness.Run("MD5", harness.SNUCA, cfg)
+	want, err := harness.Run(context.Background(), harness.Job{Bench: "MD5", Kind: harness.SNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,6 +673,43 @@ func TestDegradedJobPayload(t *testing.T) {
 	}
 	if !p.Degraded || p.Faults == nil || p.Faults.BankRetirements != 1 {
 		t.Errorf("degraded payload = degraded:%v faults:%+v, want 1 bank retirement", p.Degraded, p.Faults)
+	}
+}
+
+// TestResultPayloadResultKeys pins the top-level keys of a payload's
+// "result" object. harness.Result carries a faulted run's fault report
+// and a traced run's trace data, both tagged out of its JSON form: the
+// payload reports them in its own "faults" and "samples" fields, and the
+// "result" object must match what earlier payloads in a disk cache hold.
+func TestResultPayloadResultKeys(t *testing.T) {
+	r := harness.Result{
+		Faults: &harness.FaultReport{Scenario: "bank=3@1000"},
+		Trace:  &trace.Data{Samples: []trace.IntervalSample{{}}},
+	}
+	b, err := json.Marshal(ResultPayload{Result: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top struct {
+		Result map[string]json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range top.Result {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"AccessDigest", "AvgTaskKB", "Benchmark", "CreationCost", "Cycles",
+		"DataMovement", "Energy", "FootprintBlocks", "HookCost", "ManagerStats",
+		"Metrics", "NoCMessages", "Policy", "RNUCAPrivate", "RNUCAShared",
+		"RNUCASharedRO", "RRTAvgOcc", "RRTMaxOcc", "RegisterFailures", "Stack",
+		"TDClassification", "TLBHits", "TLBMisses", "Tasks", "Violations",
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("result keys = %v\nwant %v", got, want)
 	}
 }
 

@@ -69,9 +69,9 @@ type Options struct {
 	// Canceled, when non-nil, is polled at every task-dispatch boundary —
 	// the same quiesced points the watchdog checks its cycle budget at.
 	// Returning true stops the scheduler with a StallCanceled error
-	// instead of dispatching another task, which is how the harness
-	// context variants (RunCtx/RunManyCtx) and the experiment service's
-	// drain abort a run whose result nobody will read. A run whose hook
+	// instead of dispatching another task, which is how harness.Run's
+	// context (RunMany's first-failure cancel, the experiment service's
+	// drain) aborts a run whose result nobody will read. A run whose hook
 	// never reports true behaves bit-identically to one without the hook.
 	Canceled func() bool
 }

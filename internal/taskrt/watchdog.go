@@ -24,9 +24,9 @@ const (
 	// budget (Options.MaxCycles) — the schedule is running away.
 	StallBudget
 	// StallCanceled: Options.Canceled reported the run's context is gone
-	// (harness RunCtx/RunManyCtx cancellation, service drain); the
-	// scheduler stops at the next dispatch boundary instead of finishing
-	// a schedule nobody will read.
+	// (harness.Run's context: RunMany's first-failure cancel, service
+	// drain); the scheduler stops at the next dispatch boundary instead
+	// of finishing a schedule nobody will read.
 	StallCanceled
 )
 

@@ -13,7 +13,7 @@
 //	sys.Wait()
 //	fmt.Println(sys.Makespan(), sys.Metrics().LLCHitRatio())
 //
-// For the paper's experiments use RunBenchmark / RunSuite and the
+// For the paper's experiments use RunExperiment / RunSuite and the
 // Figure helpers, or the cmd/tdnuca-experiments tool.
 package tdnuca
 

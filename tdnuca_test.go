@@ -1,6 +1,7 @@
 package tdnuca_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -129,7 +130,7 @@ func (fixedBank) Place(tdnuca.AccessContext) (tdnuca.Placement, tdnuca.Cycles) {
 func TestRunBenchmarkPublicAPI(t *testing.T) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	cfg.Factor = 1.0 / 128.0
-	r, err := tdnuca.RunBenchmark("MD5", tdnuca.TDNUCA, cfg)
+	r, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{Bench: "MD5", Kind: tdnuca.TDNUCA, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
