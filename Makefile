@@ -3,9 +3,9 @@
 #   make ci          everything a PR must pass: build, vet, lint, tests,
 #                    race, one-iteration benchmark smoke, the bench/
 #                    module's smoke test
-#   make lint        go vet + tdnuca-lint, the repo's own static-analysis
-#                    suite (determinism / hot-path allocation / units;
-#                    DESIGN.md §9)
+#   make lint        gofmt check + go vet + tdnuca-lint, the repo's own
+#                    static-analysis suite (determinism / hot-path
+#                    allocation / units; DESIGN.md §9)
 #   make lint-timing lint under a wall-clock budget: the analyzer must
 #                    stay fast enough to run on every PR
 #   make race        race detector over the concurrent harness and the
@@ -49,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-timing bench bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet fmt-check lint lint-timing bench bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -69,10 +69,17 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+# Hidden directories are skipped: .bench_build/ holds bench-ab's checkout
+# of the reference commit, which is not this tree's to format.
+fmt-check:
+	@out="$$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # The repo's own analyzer: determinism, hot-path allocation and
 # config/units invariants (DESIGN.md §9). Exits non-zero on findings; add
 # -json for the machine-readable report (schema in EXPERIMENTS.md).
-lint: vet
+lint: fmt-check vet
 	$(GO) run ./cmd/tdnuca-lint
 
 # The same analyzer under a generous wall-clock budget: the whole suite

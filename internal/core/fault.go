@@ -80,7 +80,7 @@ func (mg *Manager) DegradeRRT(core, newCapacity int) sim.Cycles {
 		e.registeredCores = arch.Mask{}
 		e.MapMask = arch.Mask{}
 		e.kind = mapNone
-		e.untracked = nil
+		e.untracked = e.untracked[:0]
 		e.dirtyUntracked = false
 		e.usedUntracked = false
 	})

@@ -37,9 +37,12 @@ func (f *FlushRegister) Polls() uint64 { return f.polls }
 // translate performs the iterative virtual-to-physical translation of
 // Fig. 5 on the executing core's TLB: one TLB access per virtual page,
 // contiguous physical pages collapsed into maximal ranges. The returned
-// cycles charge the TLB accesses and any page walks.
+// cycles charge the TLB accesses and any page walks. The ranges live in
+// the manager's scratch buffer and are overwritten by the next call, so a
+// caller must be done with them before translating again.
 func (mg *Manager) translate(core int, vr amath.Range) ([]amath.Range, sim.Cycles) {
-	tr := vm.TranslateRange(mg.m.Process(mg.pid).AS, mg.m.TLBs[core], vr)
+	tr := vm.TranslateRange(mg.m.Process(mg.pid).AS, mg.m.TLBs[core], vr, mg.phys)
+	mg.phys = tr.Phys
 	cyc := sim.Cycles(tr.TLBAccesses*mg.cfg.TLBLatency + tr.TLBMisses*mg.cfg.PageWalkLatency)
 	return tr.Phys, cyc
 }
@@ -78,7 +81,7 @@ func (mg *Manager) tdnucaRegister(core int, e *DirEntry, mask arch.Mask) sim.Cyc
 func (mg *Manager) tdnucaInvalidate(execCore int, vr amath.Range, cores arch.Mask) sim.Cycles {
 	vr = vr.InnerBlocks(mg.cfg.BlockBytes)
 	phys, cyc := mg.translate(execCore, vr)
-	for _, c := range cores.Bits() {
+	cores.EachBit(func(c int) {
 		removed := 0
 		for _, pr := range phys {
 			removed += mg.rrts[c].RemoveOverlapping(mg.pid, pr)
@@ -87,7 +90,7 @@ func (mg *Manager) tdnucaInvalidate(execCore int, vr amath.Range, cores arch.Mas
 		if tr := mg.m.Tracer(); tr != nil {
 			tr.EmitUntimed(trace.EvRRTEvict, c, uint64(removed), int32(mg.rrts[c].Len()))
 		}
-	}
+	})
 	mg.stats.Invalidates++
 	return cyc
 }
@@ -109,7 +112,7 @@ const (
 func (mg *Manager) tdnucaFlush(execCore int, vr amath.Range, level CacheLevel, tiles arch.Mask) sim.Cycles {
 	vr = vr.InnerBlocks(mg.cfg.BlockBytes)
 	phys, cyc := mg.translate(execCore, vr)
-	for _, tile := range tiles.Bits() {
+	tiles.EachBit(func(tile int) {
 		mg.flushReg.Begin(tile)
 		for _, pr := range phys {
 			var l sim.Cycles
@@ -123,7 +126,7 @@ func (mg *Manager) tdnucaFlush(execCore int, vr amath.Range, level CacheLevel, t
 		mg.flushReg.Complete(tile)
 		mg.flushReg.Poll()
 		cyc += mg.PollCost
-	}
+	})
 	mg.stats.Flushes++
 	mg.stats.FlushCycles += cyc
 	return cyc
@@ -144,7 +147,7 @@ func (mg *Manager) flushUntracked(e *DirEntry) sim.Cycles {
 			cyc += l
 		}
 	}
-	e.untracked = nil
+	e.untracked = e.untracked[:0]
 	mg.stats.FlushCycles += cyc
 	return cyc
 }

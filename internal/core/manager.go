@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+
+	"tdnuca/internal/amath"
 	"tdnuca/internal/arch"
 	"tdnuca/internal/machine"
 	"tdnuca/internal/sim"
@@ -140,7 +143,13 @@ type Manager struct {
 	// exact reuse count.
 	ReplicateThreshold int
 
-	decisions map[int][]depDecision
+	// decisions holds the placement decisions of the one task between its
+	// TaskStarting and TaskEnded (the runtime runs the two back to back,
+	// see taskrt.Hooks); started is that task's id, -1 when none is in
+	// flight. Both buffers are reused from task to task.
+	decisions []depDecision
+	started   int
+	phys      []amath.Range // translate's scratch buffer
 	flushReg  FlushRegister
 	stats     ManagerStats
 
@@ -149,8 +158,11 @@ type Manager struct {
 	DebugDecision func(task *taskrt.Task, core int, dep taskrt.Dep, dec Decision, e *DirEntry)
 }
 
+// depDecision is one dependency's decision, kept from TaskStarting to
+// TaskEnded. Directory entries are never deleted, so the pointer stays
+// valid and TaskEnded needs no directory lookup.
 type depDecision struct {
-	dep      taskrt.Dep
+	e        *DirEntry
 	decision Decision
 }
 
@@ -166,7 +178,7 @@ func NewManager(m *machine.Machine, variant Variant) *Manager {
 		DecisionCost:       arch.ManagerDecisionCycles,
 		PollCost:           arch.ManagerPollCycles,
 		ReplicateThreshold: 24,
-		decisions:          make(map[int][]depDecision),
+		started:            -1,
 	}
 	for i := 0; i < m.Cfg.NumCores; i++ {
 		mg.rrts = append(mg.rrts, NewRRT(m.Cfg.RRTEntries))
@@ -228,7 +240,7 @@ func (mg *Manager) TaskCreated(t *taskrt.Task) {
 // read-only-to-written transition cleanup, and issues tdnuca_register.
 func (mg *Manager) TaskStarting(t *taskrt.Task, core int) sim.Cycles {
 	var cyc sim.Cycles
-	decs := make([]depDecision, 0, len(t.Deps))
+	decs := mg.decisions[:0]
 	for _, d := range t.Deps {
 		e := mg.dir.Entry(d)
 		e.UseDesc--
@@ -281,7 +293,7 @@ func (mg *Manager) TaskStarting(t *taskrt.Task, core int) sim.Cycles {
 				dec = DecideUntracked
 			}
 		}
-		decs = append(decs, depDecision{dep: d, decision: dec})
+		decs = append(decs, depDecision{e: e, decision: dec})
 		if tr := mg.m.Tracer(); tr != nil {
 			tr.Emit(trace.EvDepDecision, t.StartedAt, core, uint64(t.ID), int32(dec))
 		}
@@ -348,7 +360,7 @@ func (mg *Manager) TaskStarting(t *taskrt.Task, core int) sim.Cycles {
 			}
 			e.MapMask = arch.Mask{}
 			e.kind = mapNone
-			e.untracked = nil
+			e.untracked = e.untracked[:0]
 			e.dirtyUntracked = false
 			e.usedUntracked = false
 			stickyLocal = false
@@ -414,7 +426,8 @@ func (mg *Manager) TaskStarting(t *taskrt.Task, core int) sim.Cycles {
 			}
 		}
 	}
-	mg.decisions[t.ID] = decs
+	mg.decisions = decs
+	mg.started = t.ID
 	mg.stats.HookCycles += cyc
 	return cyc
 }
@@ -445,17 +458,20 @@ func (mg *Manager) reuseMask(core int, e *DirEntry) arch.Mask {
 // dependencies are flushed from every cache holding them and fully
 // de-registered, freeing the LLC; local-bank mappings with outstanding
 // uses stay resident (deferred flush — see DESIGN.md) as do cluster
-// replicas (Sec. III-C2's lazy invalidation).
+// replicas (Sec. III-C2's lazy invalidation). It must follow the
+// TaskStarting of the same task and panics otherwise.
 func (mg *Manager) TaskEnded(t *taskrt.Task, core int) sim.Cycles {
-	decs := mg.decisions[t.ID]
-	delete(mg.decisions, t.ID)
+	if t.ID != mg.started {
+		panic(fmt.Sprintf("core: TaskEnded(task %d) does not follow its TaskStarting (started task: %d, -1 for none)", t.ID, mg.started))
+	}
+	mg.started = -1
 	if mg.variant == NoISA {
 		return 0
 	}
 	var cyc sim.Cycles
 	coreMask := arch.MaskOf(core)
-	for _, dd := range decs {
-		e := mg.dir.Entry(dd.dep)
+	for _, dd := range mg.decisions {
+		e := dd.e
 		switch dd.decision {
 		case DecideBypass:
 			cyc += mg.tdnucaFlush(core, e.Range, LevelPrivate, coreMask)

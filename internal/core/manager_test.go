@@ -320,3 +320,94 @@ func TestHooksCostCharged(t *testing.T) {
 		t.Error("TD-NUCA hook cycles not charged")
 	}
 }
+
+// TestHooksSteadyStateAllocFree pins the fine-grained task path: once the
+// directory, the RRTs and the manager's reused buffers are warm, a
+// TaskStarting+TaskEnded pair allocates nothing. Each pair first creates
+// the next task of a four-task cycle, so dependencies shared by
+// neighbours have an outstanding use; the cycle walks one dependency
+// through replication, a transition flush to a local mapping and a
+// final in-place use, and covers sticky-local mappings, remote reads and
+// bypasses besides. The cores rotate so mappings migrate, and fragmented
+// pages make every dependency translate to several physical ranges. The
+// small-RRT case overflows the tables, exercising the untracked
+// bookkeeping.
+func TestHooksSteadyStateAllocFree(t *testing.T) {
+	for _, rrtEntries := range []int{0, 3} {
+		cfg := arch.ScaledConfig()
+		if rrtEntries > 0 {
+			cfg.RRTEntries = rrtEntries
+		}
+		m := machine.MustNew(&cfg, 2, 3)
+		mg := NewManager(m, Full)
+		mg.ReplicateThreshold = 1
+		m.SetPolicy(mg)
+		shared := taskrt.DepOn(taskrt.In, 0, 64<<10)
+		owned := taskrt.DepOn(taskrt.InOut, 1<<20, 16<<10)
+		reader := taskrt.DepOn(taskrt.In, 1<<20, 16<<10)
+		cycled := taskrt.Dep{Range: amath.NewRange(2<<20, 16<<10)}
+		final := taskrt.DepOn(taskrt.InOut, 3<<20, 16<<10)
+		single := taskrt.DepOn(taskrt.InOut, 4<<20, 16<<10)
+		// Outstanding uses that are never started keep shared replicated
+		// and owned mapped rather than bypassed.
+		mg.TaskCreated(&taskrt.Task{ID: -1, Deps: []taskrt.Dep{shared, owned}})
+		in, inout := cycled, cycled
+		in.Mode, inout.Mode = taskrt.In, taskrt.InOut
+		tasks := []*taskrt.Task{
+			{ID: 0, Deps: []taskrt.Dep{shared, in}},
+			{ID: 1, Deps: []taskrt.Dep{inout, owned}},
+			{ID: 2, Deps: []taskrt.Dep{in, final}},
+			{ID: 3, Deps: []taskrt.Dep{reader, final, single}},
+		}
+		mg.TaskCreated(tasks[0])
+		step := 0
+		pair := func() {
+			tk, next := tasks[step%len(tasks)], tasks[(step+1)%len(tasks)]
+			core := (step * 5) % cfg.NumCores
+			step++
+			mg.TaskCreated(next)
+			mg.TaskStarting(tk, core)
+			mg.TaskEnded(tk, core)
+		}
+		for i := 0; i < 64; i++ {
+			pair()
+		}
+		if n := testing.AllocsPerRun(200, pair); n != 0 {
+			t.Errorf("RRT entries %d: TaskStarting+TaskEnded allocates %v allocs/run, want 0", cfg.RRTEntries, n)
+		}
+		st := mg.Stats()
+		if st.ClusterMappings == 0 || st.LocalMappings == 0 || st.RemoteReads == 0 ||
+			st.Reuses == 0 || st.Bypasses == 0 || st.TransitionFlushes == 0 {
+			t.Errorf("RRT entries %d: decision mix not covered: %+v", cfg.RRTEntries, st)
+		}
+		if rrtEntries > 0 && st.RegisterFailures == 0 {
+			t.Errorf("RRT entries %d: tables never overflowed", cfg.RRTEntries)
+		}
+	}
+}
+
+// TestTaskEndedMustMatchStartedTask checks the decision bracket: the
+// manager keeps one task's decisions, so ending any other task panics.
+func TestTaskEndedMustMatchStartedTask(t *testing.T) {
+	for _, v := range []Variant{Full, NoISA} {
+		_, mg, _ := newTD(t, v)
+		a := &taskrt.Task{ID: 1, Deps: []taskrt.Dep{taskrt.DepOn(taskrt.InOut, 0, 8192)}}
+		b := &taskrt.Task{ID: 2, Deps: []taskrt.Dep{taskrt.DepOn(taskrt.InOut, 1<<20, 8192)}}
+		mustPanic := func(what string, fn func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: %s did not panic", v, what)
+				}
+			}()
+			fn()
+		}
+		mustPanic("TaskEnded before any TaskStarting", func() { mg.TaskEnded(a, 0) })
+		mg.TaskCreated(a)
+		mg.TaskCreated(b)
+		mg.TaskStarting(a, 0)
+		mustPanic("TaskEnded of another task", func() { mg.TaskEnded(b, 0) })
+		mg.TaskEnded(a, 0)
+		mustPanic("a second TaskEnded", func() { mg.TaskEnded(a, 0) })
+	}
+}

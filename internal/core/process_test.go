@@ -23,7 +23,7 @@ func newMP(t *testing.T) (*machine.Machine, *ProcessRouter, *taskrt.Runtime, *ta
 
 	mg0 := router.Attach(0, Full)
 	mg1 := router.Attach(pid1, Full)
-	cores0 := mg0.BindRuntime(arch.MaskAll(8))                     // tiles 0-7
+	cores0 := mg0.BindRuntime(arch.MaskAll(8))                          // tiles 0-7
 	cores1 := mg1.BindRuntime(arch.MaskAll(16).AndNot(arch.MaskAll(8))) // tiles 8-15
 
 	opts0 := taskrt.DefaultOptions()

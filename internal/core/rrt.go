@@ -83,22 +83,34 @@ func (r *RRT) Insert(asid int, rng amath.Range, mask arch.Mask) bool {
 
 // RemoveOverlapping de-registers every entry of the process whose range
 // overlaps the given physical range (tdnuca_invalidate), returning how
-// many entries were removed.
+// many entries were removed. A miss is a read-only scan; on a hit the
+// entries from the first match on are compacted in place, keeping
+// insertion order (SetCapacity and EntriesOf depend on it).
 func (r *RRT) RemoveOverlapping(asid int, rng amath.Range) int {
-	kept := r.entries[:0]
-	removed := 0
-	for _, e := range r.entries {
-		if e.ASID == asid && e.Range.Overlaps(rng) {
-			removed++
-		} else {
-			kept = append(kept, e)
+	first := 0
+	for first < len(r.entries) && !r.entries[first].overlaps(asid, rng) {
+		first++
+	}
+	if first == len(r.entries) {
+		return 0
+	}
+	kept := first
+	for i := first + 1; i < len(r.entries); i++ {
+		if !r.entries[i].overlaps(asid, rng) {
+			r.entries[kept] = r.entries[i]
+			kept++
 		}
 	}
-	r.entries = kept
-	if removed > 0 {
-		r.sample()
-	}
+	removed := len(r.entries) - kept
+	r.entries = r.entries[:kept]
+	r.sample()
 	return removed
+}
+
+// overlaps reports whether the entry belongs to the process and its range
+// overlaps rng.
+func (e *RRTEntry) overlaps(asid int, rng amath.Range) bool {
+	return e.ASID == asid && e.Range.Overlaps(rng)
 }
 
 // RemoveWithBank de-registers every entry whose BankMask names the given

@@ -73,10 +73,10 @@ func TestRRTRemoveOverlapping(t *testing.T) {
 
 func TestRRTOccupancyStats(t *testing.T) {
 	r := NewRRT(8)
-	r.Insert(0, amath.NewRange(0, 64), arch.MaskFromWord(1))          // occ 1
-	r.Insert(0, amath.NewRange(64, 64), arch.MaskFromWord(1))         // occ 2
-	r.Insert(0, amath.NewRange(128, 64), arch.MaskFromWord(1))        // occ 3
-	r.RemoveOverlapping(0, amath.NewRange(0, 192)) // occ 0
+	r.Insert(0, amath.NewRange(0, 64), arch.MaskFromWord(1))   // occ 1
+	r.Insert(0, amath.NewRange(64, 64), arch.MaskFromWord(1))  // occ 2
+	r.Insert(0, amath.NewRange(128, 64), arch.MaskFromWord(1)) // occ 3
+	r.RemoveOverlapping(0, amath.NewRange(0, 192))             // occ 0
 	if r.MaxOccupancy() != 3 {
 		t.Errorf("max occupancy = %d, want 3", r.MaxOccupancy())
 	}
@@ -86,53 +86,101 @@ func TestRRTOccupancyStats(t *testing.T) {
 }
 
 func TestRRTMatchesNaiveModel(t *testing.T) {
-	// Property: RRT lookup agrees with a naive list of (range, mask)
-	// pairs under arbitrary insert/remove/lookup sequences.
+	// Property: the RRT agrees with a naive ordered list of entries under
+	// arbitrary insert/remove/lookup/resize/bank-retirement sequences over
+	// two ASIDs. After every operation each ASID's EntriesOf must equal
+	// the naive list in insertion order, which pins the order-preserving
+	// compaction that SetCapacity's eviction set depends on.
 	f := func(ops []uint64) bool {
 		r := NewRRT(16)
-		type pair struct {
-			rng  amath.Range
-			mask arch.Mask
+		capacity := 16
+		var naive []RRTEntry
+		filter := func(drop func(RRTEntry) bool) {
+			kept := naive[:0]
+			for _, e := range naive {
+				if !drop(e) {
+					kept = append(kept, e)
+				}
+			}
+			naive = kept
 		}
-		var naive []pair
 		for i, o := range ops {
 			kind := uint8(o)
 			start := uint16(o >> 8)
 			size := uint16(o >> 24)
-			rng := amath.NewRange(amath.Addr(start)*64, (uint64(size)%64+1)*64)
-			switch kind % 3 {
-			case 0: // insert
+			asid := int(o>>40) & 1
+			rng := amath.NewRange(amath.Addr(start%512)*64, (uint64(size)%64+1)*64)
+			switch kind % 4 {
+			case 0, 1: // insert
 				mask := arch.MaskOf(i % 16)
-				if r.Insert(0, rng, mask) {
-					naive = append(naive, pair{rng, mask})
+				ok := r.Insert(asid, rng, mask)
+				if ok != (len(naive) < capacity) {
+					return false
 				}
-			case 1: // remove
-				r.RemoveOverlapping(0, rng)
-				kept := naive[:0]
-				for _, p := range naive {
-					if !p.rng.Overlaps(rng) {
-						kept = append(kept, p)
+				if ok {
+					naive = append(naive, RRTEntry{Range: rng, Mask: mask, ASID: asid})
+				}
+			case 2: // remove
+				n := len(naive)
+				filter(func(e RRTEntry) bool { return e.ASID == asid && e.Range.Overlaps(rng) })
+				if r.RemoveOverlapping(asid, rng) != n-len(naive) {
+					return false
+				}
+			default: // lookup, or a resize / bank retirement
+				switch (o >> 48) % 4 {
+				case 0:
+					capacity = int(o>>50) % 20
+					evicted := r.SetCapacity(capacity)
+					if len(naive) > capacity {
+						if len(evicted) != len(naive)-capacity {
+							return false
+						}
+						naive = naive[:capacity]
+					} else if len(evicted) != 0 {
+						return false
+					}
+				case 1:
+					bank := int(o>>50) % 16
+					n := len(naive)
+					filter(func(e RRTEntry) bool { return e.Mask.Has(bank) })
+					if r.RemoveWithBank(bank) != n-len(naive) {
+						return false
+					}
+				default:
+					mask, ok := r.Lookup(asid, rng.Start)
+					var wantMask arch.Mask
+					want := false
+					for _, e := range naive {
+						if e.ASID == asid && e.Range.Contains(rng.Start) {
+							wantMask, want = e.Mask, true
+							break
+						}
+					}
+					if ok != want || (ok && mask != wantMask) {
+						return false
 					}
 				}
-				naive = kept
-			default: // lookup
-				mask, ok := r.Lookup(0, rng.Start)
-				var wantMask arch.Mask
-				want := false
-				for _, p := range naive {
-					if p.rng.Contains(rng.Start) {
-						wantMask, want = p.mask, true
-						break
+			}
+			for a := 0; a < 2; a++ {
+				got := r.EntriesOf(a)
+				k := 0
+				for _, e := range naive {
+					if e.ASID != a {
+						continue
 					}
+					if k >= len(got) || got[k] != e {
+						return false
+					}
+					k++
 				}
-				if ok != want || (ok && mask != wantMask) {
+				if k != len(got) {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -51,23 +51,29 @@ func (r *depRegistry) record(rng amath.Range) *depRecord {
 	return rec
 }
 
-// overlapping calls fn for every record whose range overlaps rng
-// (including the exact-match record if present).
-func (r *depRegistry) overlapping(rng amath.Range, fn func(*depRecord)) {
-	if rng.IsEmpty() || len(r.ordered) == 0 {
-		return
+// span returns the index range [lo, hi) of ordered that holds every
+// record overlapping rng; records inside it may still not overlap. Any
+// overlapping record starts before rng.End() and ends after rng.Start;
+// since record sizes are bounded by maxSize, it starts at or after
+// rng.Start - maxSize.
+func (r *depRegistry) span(rng amath.Range) (lo, hi int) {
+	if rng.IsEmpty() {
+		return 0, 0
 	}
-	// Any overlapping record starts before rng.End() and ends after
-	// rng.Start; since record sizes are bounded by maxSize, it starts at
-	// or after rng.Start - maxSize.
-	lo := sort.Search(len(r.ordered), func(i int) bool {
-		return uint64(r.ordered[i].rng.Start)+r.maxSize > uint64(rng.Start)
-	})
-	for i := lo; i < len(r.ordered) && r.ordered[i].rng.Start < rng.End(); i++ {
-		if r.ordered[i].rng.Overlaps(rng) {
-			fn(r.ordered[i])
+	lo, hi = 0, len(r.ordered)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if uint64(r.ordered[mid].rng.Start)+r.maxSize > uint64(rng.Start) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	hi = lo
+	for hi < len(r.ordered) && r.ordered[hi].rng.Start < rng.End() {
+		hi++
+	}
+	return lo, hi
 }
 
 // insertTask derives the TDG edges for a newly created task from the
@@ -90,8 +96,14 @@ func (r *depRegistry) insertTask(t *Task) {
 		}
 		// Ensure an exact record exists so the dependency is tracked even
 		// if only overlapped partially later.
-		exact := r.record(d.Range)
-		r.overlapping(d.Range, func(rec *depRecord) {
+		r.record(d.Range)
+		// One search per dependency: neither loop below mutates ordered,
+		// so both walk the same span.
+		lo, hi := r.span(d.Range)
+		for _, rec := range r.ordered[lo:hi] {
+			if !rec.rng.Overlaps(d.Range) {
+				continue
+			}
 			if rec.lastWriter != nil && rec.lastWriter != t {
 				if d.Mode.Reads() && affRead == nil {
 					affRead = rec.lastWriter
@@ -100,32 +112,29 @@ func (r *depRegistry) insertTask(t *Task) {
 					affWrite = rec.lastWriter
 				}
 			}
-			if d.Mode.Reads() {
-				if rec.lastWriter != nil && !rec.lastWriter.Done() {
-					rec.lastWriter.addEdge(t)
-				}
+			if d.Mode&InOut != 0 && rec.lastWriter != nil && !rec.lastWriter.Done() {
+				rec.lastWriter.addEdge(t) // RAW, or WAW for a write
 			}
 			if d.Mode.Writes() {
-				if rec.lastWriter != nil && !rec.lastWriter.Done() {
-					rec.lastWriter.addEdge(t) // WAW
-				}
 				for _, reader := range rec.readers {
 					if reader != t && !reader.Done() {
 						reader.addEdge(t) // WAR
 					}
 				}
 			}
-		})
+		}
 		// Update records after edge derivation.
-		r.overlapping(d.Range, func(rec *depRecord) {
+		for _, rec := range r.ordered[lo:hi] {
+			if !rec.rng.Overlaps(d.Range) {
+				continue
+			}
 			if d.Mode.Writes() {
 				rec.lastWriter = t
 				rec.readers = rec.readers[:0]
 			} else if d.Mode.Reads() {
 				rec.readers = append(rec.readers, t)
 			}
-		})
-		_ = exact
+		}
 	}
 	// Data-affinity: prefer the previous writer of the data this task
 	// will write (mutating a range in place is where migration is most

@@ -13,6 +13,11 @@ import (
 // Hooks is how a NUCA policy participates in the runtime's operational
 // model (Sec. III-C2). TD-NUCA's manager implements all three; baseline
 // policies use NopHooks.
+//
+// TaskStarting, the task body and TaskEnded run back to back for one
+// task: a body has no runtime handle, so nothing can dispatch in between.
+// An implementation may therefore keep a single task's state from
+// TaskStarting to TaskEnded instead of a per-task table.
 type Hooks interface {
 	// TaskCreated fires when a task is inserted into the TDG (UseDesc
 	// increments happen here).

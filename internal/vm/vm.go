@@ -286,8 +286,10 @@ type RangeTranslation struct {
 // translating each page and collapsing physically contiguous pages into
 // maximal physical ranges. Partial first/last pages translate to partial
 // physical ranges so that the total translated size equals r.Size.
-func TranslateRange(as *AddressSpace, tlb *TLB, r amath.Range) RangeTranslation {
-	var out RangeTranslation
+// The ranges are appended to dst[:0], so a caller that passes the Phys of
+// its previous translation back in reuses that slice's storage.
+func TranslateRange(as *AddressSpace, tlb *TLB, r amath.Range, dst []amath.Range) RangeTranslation {
+	out := RangeTranslation{Phys: dst[:0]}
 	if r.IsEmpty() {
 		return out
 	}

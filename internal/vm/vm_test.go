@@ -167,7 +167,7 @@ func TestTranslateRangeContiguous(t *testing.T) {
 	as := NewAddressSpace(4096, 0, 1)
 	tlb := NewTLB(64)
 	r := amath.NewRange(0, 4*4096)
-	tr := TranslateRange(as, tlb, r)
+	tr := TranslateRange(as, tlb, r, nil)
 	if len(tr.Phys) != 1 {
 		t.Fatalf("contiguous memory translated to %d ranges: %v", len(tr.Phys), tr.Phys)
 	}
@@ -183,7 +183,7 @@ func TestTranslateRangeFragmented(t *testing.T) {
 	as := NewAddressSpace(4096, 4, 3)
 	tlb := NewTLB(64)
 	r := amath.NewRange(0, 64*4096)
-	tr := TranslateRange(as, tlb, r)
+	tr := TranslateRange(as, tlb, r, nil)
 	if len(tr.Phys) < 2 {
 		t.Fatalf("fragmented memory collapsed to %d range(s)", len(tr.Phys))
 	}
@@ -199,12 +199,30 @@ func TestTranslateRangeFragmented(t *testing.T) {
 	}
 }
 
+func TestTranslateRangeReusesDst(t *testing.T) {
+	as := NewAddressSpace(4096, 4, 3)
+	r := amath.NewRange(0, 64*4096)
+	want := TranslateRange(as, NewTLB(64), r, nil).Phys
+	dst := make([]amath.Range, 1, len(want))
+	dst[0] = amath.NewRange(1<<40, 64) // stale content must not survive
+	got := TranslateRange(as, NewTLB(64), r, dst).Phys
+	if len(got) != len(want) || &got[0] != &dst[0] {
+		t.Fatalf("translation into dst: %d ranges (want %d), storage reused %v",
+			len(got), len(want), len(got) > 0 && &got[0] == &dst[0])
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("range %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestTranslateRangePartialPages(t *testing.T) {
 	as := NewAddressSpace(4096, 0, 1)
 	tlb := NewTLB(64)
 	// Unaligned range covering parts of 3 pages.
 	r := amath.NewRange(1000, 8000)
-	tr := TranslateRange(as, tlb, r)
+	tr := TranslateRange(as, tlb, r, nil)
 	var total uint64
 	for _, pr := range tr.Phys {
 		total += pr.Size
@@ -224,7 +242,7 @@ func TestTranslateRangePartialPages(t *testing.T) {
 func TestTranslateRangeEmpty(t *testing.T) {
 	as := NewAddressSpace(4096, 0, 1)
 	tlb := NewTLB(64)
-	tr := TranslateRange(as, tlb, amath.Range{})
+	tr := TranslateRange(as, tlb, amath.Range{}, nil)
 	if len(tr.Phys) != 0 || tr.TLBAccesses != 0 {
 		t.Error("empty range translation did work")
 	}
@@ -282,7 +300,7 @@ func TestTranslateRangeSizeProperty(t *testing.T) {
 		as := NewAddressSpace(4096, int(frag%16), uint64(frag))
 		tlb := NewTLB(64)
 		r := amath.NewRange(amath.Addr(start)*64, uint64(size)*64)
-		tr := TranslateRange(as, tlb, r)
+		tr := TranslateRange(as, tlb, r, nil)
 		var total uint64
 		for _, pr := range tr.Phys {
 			total += pr.Size

@@ -66,12 +66,12 @@ func TestParseSubsetKeepsDefaults(t *testing.T) {
 
 func TestParseRejectsMalformedNames(t *testing.T) {
 	for _, name := range []string{
-		"Jacobi",                  // no prefix
-		"gen:seed",                // not key=value
-		"gen:seed=x",              // not a number
+		"Jacobi",                   // no prefix
+		"gen:seed",                 // not key=value
+		"gen:seed=x",               // not a number
 		"gen:depth=99999999999999", // overflows int32
-		"gen:turbo=1",             // unknown knob
-		"gen:seed=1,,width=2",     // empty field
+		"gen:turbo=1",              // unknown knob
+		"gen:seed=1,,width=2",      // empty field
 	} {
 		if _, err := Parse(name); err == nil {
 			t.Errorf("Parse(%q) accepted a malformed name", name)
@@ -92,7 +92,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"reuse > depth":   func(p *Params) { p.Reuse = p.Depth + 1 },
 		"tiny bytes":      func(p *Params) { p.Bytes = 32 },
 		"huge bytes":      func(p *Params) { p.Bytes = maxTaskBytes + 1 },
-		"huge footprint":  func(p *Params) { p.Width, p.Bytes = 1024, 16 << 20 },
+		"huge footprint":  func(p *Params) { p.Width, p.Bytes = 1024, 16<<20 },
 		"overlap > 100":   func(p *Params) { p.Overlap = 101 },
 		"negative inout":  func(p *Params) { p.InOut = -1 },
 		"huge compute":    func(p *Params) { p.Compute = maxCompute + 1 },
