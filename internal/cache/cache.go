@@ -40,13 +40,14 @@ func (s State) String() string {
 // IsValid reports whether the state denotes a resident line.
 func (s State) IsValid() bool { return s != Invalid }
 
-// line stores the full block number as its tag — a simulator can afford
-// the wide tag, and it keeps the line identity independent of the
-// configurable set-index function.
-type line struct {
-	tag   uint64 // block number
-	state State
-}
+// A line's tag is its full block number — a simulator can afford the
+// wide tag, and it keeps the line identity independent of the
+// configurable set-index function. An invalid way holds noTag, so a
+// lookup compares tags only. No real block reaches the sentinel: a block
+// number is an address divided by the block size, so only 1-byte blocks
+// at the very top of the address space could, and Insert rejects that
+// one address.
+const noTag = ^uint64(0)
 
 // Stats aggregates the activity of one cache.
 type Stats struct {
@@ -84,8 +85,11 @@ type Cache struct {
 	setMask    uint64
 	setBits    uint     // log2(numSets)
 	indexHash  bool     // XOR-folded set index (LLC banks)
-	sets       []line   // numSets * ways, row-major
+	tags       []uint64 // block number per slot (numSets * ways, row-major); noTag when invalid
+	states     []State  // MESI state per slot, parallel to tags
 	plru       []uint32 // tree pseudo-LRU bits per set
+	plruSet    []uint32 // per way: tree bits touch sets (nodes whose LRU side is the right half)
+	plruClr    []uint32 // per way: tree bits touch clears
 	mru        []uint8  // most-recently-touched way per set (lookup hint)
 	valid      []uint16 // valid lines per set: a full set skips the empty-way scan
 	resident   int
@@ -126,17 +130,26 @@ func New(capacityBytes, ways, blockBytes int) (*Cache, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", numSets)
 	}
-	return &Cache{
+	tags := make([]uint64, numSets*ways)
+	for i := range tags {
+		tags[i] = noTag
+	}
+	c := &Cache{
 		blockBytes: blockBytes,
 		numSets:    numSets,
 		ways:       ways,
 		setMask:    uint64(numSets - 1),
 		setBits:    amath.Log2(numSets),
-		sets:       make([]line, numSets*ways),
+		tags:       tags,
+		states:     make([]State, numSets*ways),
 		plru:       make([]uint32, numSets),
+		plruSet:    make([]uint32, ways),
+		plruClr:    make([]uint32, ways),
 		mru:        make([]uint8, numSets),
 		valid:      make([]uint16, numSets),
-	}, nil
+	}
+	c.buildPLRUMasks()
+	return c, nil
 }
 
 // MustNew is New but panics on error; for configurations already
@@ -171,7 +184,7 @@ func (c *Cache) Sets() int { return c.numSets }
 func (c *Cache) Ways() int { return c.ways }
 
 // Slots returns the number of line slots, Sets()*Ways().
-func (c *Cache) Slots() int { return len(c.sets) }
+func (c *Cache) Slots() int { return len(c.tags) }
 
 func (c *Cache) index(addr amath.Addr) (set int, tag uint64) {
 	block := addr.Block(c.blockBytes)
@@ -187,13 +200,13 @@ func (c *Cache) find(set int, tag uint64) int {
 	// MRU-way hint: repeated accesses to the same block (the
 	// read-modify-write pattern of streaming task bodies) hit the way
 	// touched last, so probe it before scanning the whole set.
-	if w := int(c.mru[set]); w < c.ways {
-		if l := &c.sets[base+w]; l.state.IsValid() && l.tag == tag {
-			return w
-		}
+	// Invalid ways hold noTag, which no block matches, so one compare
+	// per way decides.
+	if w := int(c.mru[set]); w < c.ways && c.tags[base+w] == tag {
+		return w
 	}
-	for w := 0; w < c.ways; w++ {
-		if l := &c.sets[base+w]; l.state.IsValid() && l.tag == tag {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			return w
 		}
 	}
@@ -215,7 +228,7 @@ func (c *Cache) ProbeSlot(addr amath.Addr) (State, int) {
 	set, tag := c.index(addr)
 	if w := c.find(set, tag); w >= 0 {
 		slot := set*c.ways + w
-		return c.sets[slot].state, slot
+		return c.states[slot], slot
 	}
 	return Invalid, -1
 }
@@ -242,7 +255,7 @@ func (c *Cache) AccessSlot(addr amath.Addr) (State, int) {
 		c.touch(set, w)
 		c.stats.Hits++
 		slot := set*c.ways + w
-		return c.sets[slot].state, slot
+		return c.states[slot], slot
 	}
 	c.stats.Misses++
 	c.curSet, c.curTag, c.curValid = set, tag, true
@@ -269,6 +282,9 @@ func (c *Cache) Insert(addr amath.Addr, st State) Victim {
 		panic("cache: Insert with Invalid state")
 	}
 	set, tag := c.index(addr)
+	if tag == noTag {
+		panic("cache: Insert of the block number reserved for invalid ways (1-byte blocks at the top address)")
+	}
 	base := set * c.ways
 	// The miss cursor proves the tag absent when this Insert services the
 	// Access that just missed; only then can the residency scan be skipped.
@@ -276,7 +292,7 @@ func (c *Cache) Insert(addr amath.Addr, st State) Victim {
 	c.curValid = false
 	if !skipFind {
 		if w := c.find(set, tag); w >= 0 {
-			c.sets[base+w].state = st
+			c.states[base+w] = st
 			c.touch(set, w)
 			return Victim{Slot: base + w}
 		}
@@ -291,10 +307,10 @@ func (c *Cache) fillWay(set int, tag uint64, st State) Victim {
 	base := set * c.ways
 	if int(c.valid[set]) < c.ways {
 		w := 0
-		for c.sets[base+w].state.IsValid() {
+		for c.states[base+w].IsValid() {
 			w++
 		}
-		c.sets[base+w] = line{tag: tag, state: st}
+		c.tags[base+w], c.states[base+w] = tag, st
 		c.valid[set]++
 		c.resident++
 		c.touch(set, w)
@@ -302,15 +318,15 @@ func (c *Cache) fillWay(set int, tag uint64, st State) Victim {
 	}
 	// Evict the pseudo-LRU way.
 	w := c.plruVictim(set)
-	victim := c.sets[base+w]
+	vState := c.states[base+w]
 	c.stats.Evictions++
-	if victim.state == Modified {
+	if vState == Modified {
 		c.stats.Writebacks++
 	}
-	vAddr := c.blockAddr(victim.tag)
-	c.sets[base+w] = line{tag: tag, state: st}
+	vAddr := c.blockAddr(c.tags[base+w])
+	c.tags[base+w], c.states[base+w] = tag, st
 	c.touch(set, w)
-	return Victim{Addr: vAddr, State: victim.state, Occurred: true, Slot: base + w}
+	return Victim{Addr: vAddr, State: vState, Occurred: true, Slot: base + w}
 }
 
 func (c *Cache) blockAddr(tag uint64) amath.Addr {
@@ -325,7 +341,7 @@ func (c *Cache) SetState(addr amath.Addr, st State) bool {
 	}
 	set, tag := c.index(addr)
 	if w := c.find(set, tag); w >= 0 {
-		c.sets[set*c.ways+w].state = st
+		c.states[set*c.ways+w] = st
 		return true
 	}
 	return false
@@ -345,8 +361,9 @@ func (c *Cache) Invalidate(addr amath.Addr) State {
 // drop removes the valid line in way w of set and returns its state. A
 // Modified line counts as a writeback.
 func (c *Cache) drop(set, w int) State {
-	st := c.sets[set*c.ways+w].state
-	c.sets[set*c.ways+w] = line{}
+	slot := set*c.ways + w
+	st := c.states[slot]
+	c.tags[slot], c.states[slot] = noTag, Invalid
 	c.valid[set]--
 	c.resident--
 	c.stats.Invalidates++
@@ -367,7 +384,7 @@ func (c *Cache) FlushRange(r amath.Range, fn func(block amath.Addr, st State, sl
 		set, tag := c.index(block)
 		if w := c.find(set, tag); w >= 0 {
 			if fn != nil {
-				fn(block, c.sets[set*c.ways+w].state, set*c.ways+w)
+				fn(block, c.states[set*c.ways+w], set*c.ways+w)
 			}
 			c.drop(set, w)
 			flushed++
@@ -380,35 +397,42 @@ func (c *Cache) FlushRange(r amath.Range, fn func(block amath.Addr, st State, sl
 // with the line's block address, state and slot. fn may invalidate the
 // line it is given.
 func (c *Cache) EachResident(fn func(block amath.Addr, st State, slot int)) {
-	for slot, l := range c.sets {
-		if l.state.IsValid() {
-			fn(c.blockAddr(l.tag), l.state, slot)
+	for slot, st := range c.states {
+		if st.IsValid() {
+			fn(c.blockAddr(c.tags[slot]), st, slot)
 		}
 	}
 }
 
 // touch updates the pseudo-LRU tree so the accessed way becomes most
-// recently used: every tree node on the path is pointed away from it.
-// The way is also recorded as the set's MRU lookup hint.
+// recently used: every tree node on the path is pointed away from it, by
+// the way's precomputed masks. The way is also recorded as the set's MRU
+// lookup hint.
 func (c *Cache) touch(set, way int) {
 	c.mru[set] = uint8(way)
-	if c.ways == 1 {
-		return
-	}
-	bits := c.plru[set]
-	node := 0
-	for span := c.ways; span > 1; span /= 2 {
-		half := span / 2
-		if way < half {
-			bits |= 1 << uint(node) // LRU side is the right half
-			node = 2*node + 1
-		} else {
-			bits &^= 1 << uint(node) // LRU side is the left half
-			node = 2*node + 2
-			way -= half
+	c.plru[set] = (c.plru[set] | c.plruSet[way]) &^ c.plruClr[way]
+}
+
+// buildPLRUMasks walks the tree once per way, recording which node bits
+// touch sets (the way is in the node's left half, so the right half
+// becomes LRU) and which it clears.
+func (c *Cache) buildPLRUMasks() {
+	for w := range c.plruSet {
+		var set, clr uint32
+		node, way := 0, w
+		for span := c.ways; span > 1; span /= 2 {
+			half := span / 2
+			if way < half {
+				set |= 1 << uint(node)
+				node = 2*node + 1
+			} else {
+				clr |= 1 << uint(node)
+				node = 2*node + 2
+				way -= half
+			}
 		}
+		c.plruSet[w], c.plruClr[w] = set, clr
 	}
-	c.plru[set] = bits
 }
 
 // plruVictim walks the tree in the direction each node's bit points,

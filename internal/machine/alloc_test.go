@@ -23,7 +23,20 @@ import (
 func benchMachine(tb testing.TB) *Machine {
 	tb.Helper()
 	cfg := arch.ScaledConfig()
-	m := MustNew(&cfg, 0, 1)
+	return newBenchMachine(&cfg)
+}
+
+// contendedBenchMachine is benchMachine with the NoC queueing model on,
+// as every experiment runs it.
+func contendedBenchMachine(tb testing.TB) *Machine {
+	tb.Helper()
+	cfg := arch.ScaledConfig()
+	cfg.NoCContention = true
+	return newBenchMachine(&cfg)
+}
+
+func newBenchMachine(cfg *arch.Config) *Machine {
+	m := MustNew(cfg, 0, 1)
 	m.SetPolicy(&staticPolicy{})
 	return m
 }
@@ -67,6 +80,55 @@ func TestLLCHitPathAllocFree(t *testing.T) {
 
 	if n := testing.AllocsPerRun(10, sweep); n != 0 {
 		t.Errorf("LLC hit sweep allocates %v allocs/run, want 0", n)
+	}
+}
+
+// TestContendedLLCHitPathAllocFree is TestLLCHitPathAllocFree with NoC
+// contention on: the contended walk, its per-link queueing state and the
+// precomputed message occupancies add no allocation to the LLC-hit path.
+func TestContendedLLCHitPathAllocFree(t *testing.T) {
+	m := contendedBenchMachine(t)
+	const region = 64 << 10 // 8x the scaled L1, 1/16 of the LLC
+	sweep := func() {
+		for off := 0; off < region; off += 64 {
+			m.Access(0, amath.Addr(off), false)
+		}
+	}
+	sweep()
+	sweep()
+
+	if n := testing.AllocsPerRun(10, sweep); n != 0 {
+		t.Errorf("contended LLC hit sweep allocates %v allocs/run, want 0", n)
+	}
+}
+
+// TestContendedEvictionPathAllocFree writes a region twice the scaled
+// 1 MB LLC with NoC contention on, so in steady state every access
+// misses both levels and its fills evict dirty lines: L1 writebacks into
+// the banks, bank victims written back to memory, and the back-
+// invalidations and contended messages those cost. None may allocate.
+func TestContendedEvictionPathAllocFree(t *testing.T) {
+	m := contendedBenchMachine(t)
+	const region = 2 << 20
+	sweep := func() {
+		for off := 0; off < region; off += 64 {
+			m.Access(0, amath.Addr(off), true)
+		}
+	}
+	sweep() // cold: page tables, bank directories
+	sweep()
+
+	before := m.Metrics()
+	if n := testing.AllocsPerRun(2, sweep); n != 0 {
+		t.Errorf("contended dirty eviction sweep allocates %v allocs/run, want 0", n)
+	}
+	after := m.Metrics()
+	if after.L1Writebacks == before.L1Writebacks || after.LLCWritebacksOut == before.LLCWritebacksOut {
+		t.Errorf("sweep wrote back no dirty lines: L1 %d -> %d, LLC %d -> %d",
+			before.L1Writebacks, after.L1Writebacks, before.LLCWritebacksOut, after.LLCWritebacksOut)
+	}
+	if m.Net.QueueingCycles() == 0 {
+		t.Error("contended sweep charged no queueing delay")
 	}
 }
 

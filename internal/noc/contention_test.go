@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"math/big"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -182,4 +185,136 @@ func TestEnableContentionRejectsZeroBandwidth(t *testing.T) {
 		}
 	}()
 	n.EnableContention(0)
+}
+
+// linkCase is one random link state and arrival for the serve property
+// test. Gaps are drawn log-uniformly so that every regime comes up: an
+// idle link, no delay, the divided middle band, the cap, and a link busy
+// for its whole horizon.
+type linkCase struct {
+	l        linkState
+	now, occ sim.Cycles
+}
+
+func (linkCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	gap := func() sim.Cycles { return sim.Cycles(r.Int63n(1 << uint(r.Intn(34)))) }
+	var c linkCase
+	c.occ = sim.Cycles(1 + r.Intn(64))
+	if r.Intn(8) > 0 {
+		c.l.busy = 1 + gap()
+	}
+	c.l.latest = c.l.busy + gap()
+	if r.Intn(4) == 0 && c.l.latest > 0 {
+		c.l.latest -= sim.Cycles(r.Int63n(int64(c.l.latest)))
+	}
+	c.now = c.l.latest + gap()
+	if r.Intn(2) == 0 && c.now > 0 {
+		c.now -= sim.Cycles(r.Int63n(int64(c.now)))
+	}
+	return reflect.ValueOf(c)
+}
+
+// refDelay is the M/M/1 queueing delay in exact rational arithmetic:
+// min(floor(occ*rho/(1-rho)), maxQueueFactor*occ) with rho = busy/horizon,
+// the cap once the link has been busy for its whole horizon, and nothing
+// on a link that has never served.
+func refDelay(occ, busy, horizon sim.Cycles) sim.Cycles {
+	limit := occ * maxQueueFactor
+	if busy == 0 {
+		return 0
+	}
+	if busy >= horizon {
+		return limit
+	}
+	rho := new(big.Rat).SetFrac(new(big.Int).SetUint64(uint64(busy)), new(big.Int).SetUint64(uint64(horizon)))
+	d := new(big.Rat).Sub(big.NewRat(1, 1), rho)
+	d.Quo(rho, d)
+	d.Mul(d, new(big.Rat).SetInt(new(big.Int).SetUint64(uint64(occ))))
+	floor := new(big.Int).Quo(d.Num(), d.Denom())
+	if floor.Cmp(new(big.Int).SetUint64(uint64(limit))) >= 0 {
+		return limit
+	}
+	return sim.Cycles(floor.Uint64())
+}
+
+// floatDelay is the float64 form serve used before it switched to
+// integers, kept to document the cases it got wrong.
+func floatDelay(occ, busy, horizon sim.Cycles) sim.Cycles {
+	rho := float64(busy) / float64(horizon)
+	return min(sim.Cycles(float64(occ)*rho/(1-rho)), occ*maxQueueFactor)
+}
+
+// TestServeMatchesExactDelay pins linkState.serve to the exact rational
+// M/M/1 delay and checks the state update it leaves behind: busy grows
+// by the occupancy and latest covers the message's departure.
+func TestServeMatchesExactDelay(t *testing.T) {
+	check := func(c linkCase) bool {
+		l := c.l
+		want := refDelay(c.occ, l.busy, max(l.latest, c.now))
+		got := l.serve(c.now, c.occ)
+		if got != want {
+			t.Logf("serve(now=%d, occ=%d) on %+v = %d, want %d", c.now, c.occ, c.l, got, want)
+			return false
+		}
+		if l.busy != c.l.busy+c.occ || l.latest != max(c.l.latest, c.now+want+c.occ) {
+			t.Logf("serve(now=%d, occ=%d) on %+v left %+v", c.now, c.occ, c.l, l)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+
+	for _, tc := range []struct {
+		name                 string
+		occ, busy, latest    sim.Cycles
+		now, want, wantFloat sim.Cycles
+	}{
+		// occ*rho/(1-rho) = 2*(1/3)/(2/3) = 1 exactly; the float
+		// quotient lands just below 1 and truncated to 0.
+		{"float under-charge", 2, 1, 3, 0, 1, 0},
+		{"idle link", 5, 0, 0, 10, 0, 0},
+		{"no delay", 5, 10, 100, 100, 0, 0},
+		{"middle band", 5, 50, 100, 100, 5, 5},
+		{"cap", 5, 99, 100, 100, 40, 40},
+		{"saturated", 5, 120, 100, 100, 40, 40},
+	} {
+		if tc.busy > 0 && tc.busy < max(tc.latest, tc.now) {
+			if f := floatDelay(tc.occ, tc.busy, max(tc.latest, tc.now)); f != tc.wantFloat {
+				t.Errorf("%s: float form = %d, want %d", tc.name, f, tc.wantFloat)
+			}
+		}
+		l := linkState{busy: tc.busy, latest: tc.latest}
+		if got := l.serve(tc.now, tc.occ); got != tc.want {
+			t.Errorf("%s: serve = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkSendAtContended times the contended walk on warm links:
+// control and data messages alternate over every ordered tile pair.
+func BenchmarkSendAtContended(b *testing.B) {
+	cfg := arch.DefaultConfig()
+	n := New(&cfg)
+	n.EnableContention(cfg.LinkBandwidthBytes)
+	tiles := cfg.NumCores
+	now := sim.Cycles(0)
+	send := func(i int) {
+		from, to := i%tiles, (i/tiles)%tiles
+		if i%2 == 0 {
+			n.SendCtrlAt(from, to, now)
+		} else {
+			n.SendDataAt(from, to, now)
+		}
+		now += 4
+	}
+	for i := 0; i < 4*tiles*tiles; i++ {
+		send(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send(i)
+	}
 }

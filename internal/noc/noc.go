@@ -21,6 +21,10 @@ import (
 type Network struct {
 	cfg *arch.Config
 
+	// xy[tile] is the tile's mesh column and row, so the healthy XY
+	// walks step from tile to tile by ±1 and ±MeshWidth without dividing.
+	xy []coord
+
 	// linkBytes counts payload bytes crossing each directed link.
 	// Links are indexed by (fromTile, direction).
 	linkBytes [][4]uint64
@@ -35,6 +39,8 @@ type Network struct {
 	// Queueing contention model (see contention.go).
 	contention bool
 	bwBytes    int
+	ctrlOcc    sim.Cycles // link occupancy of a control message
+	dataOcc    sim.Cycles // link occupancy of a data message
 	links      [][4]linkState
 	queued     sim.Cycles
 
@@ -61,10 +67,18 @@ const (
 	South
 )
 
+// coord is a tile's position in the mesh.
+type coord struct{ x, y int }
+
 // New constructs the mesh for the given architecture.
 func New(cfg *arch.Config) *Network {
+	xy := make([]coord, cfg.NumCores)
+	for tile := range xy {
+		xy[tile] = coord{cfg.TileX(tile), cfg.TileY(tile)}
+	}
 	return &Network{
 		cfg:       cfg,
+		xy:        xy,
 		linkBytes: make([][4]uint64, cfg.NumCores),
 	}
 }
@@ -77,23 +91,23 @@ func (n *Network) Route(from, to int) []int {
 		return n.routeFaulty(from, to)
 	}
 	path := []int{from}
-	x, y := n.cfg.TileX(from), n.cfg.TileY(from)
-	tx, ty := n.cfg.TileX(to), n.cfg.TileY(to)
-	for x != tx {
-		if x < tx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, n.cfg.TileAt(x, y))
+	src, dst, w := n.xy[from], n.xy[to], n.cfg.MeshWidth
+	cur := from
+	for x := src.x; x < dst.x; x++ {
+		cur++
+		path = append(path, cur)
 	}
-	for y != ty {
-		if y < ty {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, n.cfg.TileAt(x, y))
+	for x := src.x; x > dst.x; x-- {
+		cur--
+		path = append(path, cur)
+	}
+	for y := src.y; y < dst.y; y++ {
+		cur += w
+		path = append(path, cur)
+	}
+	for y := src.y; y > dst.y; y-- {
+		cur -= w
+		path = append(path, cur)
 	}
 	return path
 }
@@ -102,45 +116,48 @@ func (n *Network) Route(from, to int) []int {
 // one tile to another and returns the number of hops and the NoC latency
 // in cycles. A message to the local tile takes zero hops and zero cycles.
 // The XY walk is inlined (allocation-free) because Send sits on the
-// simulator's hottest path; Route exists for tests and tooling.
+// simulator's hottest path; Route exists for tests and tooling. At most
+// one of the two X loops and one of the two Y loops runs.
 func (n *Network) Send(from, to, bytes int) (hops, latency int) {
 	n.messages++
 	if n.faulty {
 		return n.sendFaulty(from, to, bytes)
 	}
-	x, y := n.cfg.TileX(from), n.cfg.TileY(from)
-	tx, ty := n.cfg.TileX(to), n.cfg.TileY(to)
+	src, dst, w := n.xy[from], n.xy[to], n.cfg.MeshWidth
+	b := uint64(bytes)
 	cur := from
-	for x != tx {
-		dir := East
-		nx := x + 1
-		if x > tx {
-			dir, nx = West, x-1
-		}
-		n.linkBytes[cur][dir] += uint64(bytes)
-		x = nx
-		cur = n.cfg.TileAt(x, y)
-		hops++
+	for x := src.x; x < dst.x; x++ {
+		n.linkBytes[cur][East] += b
+		cur++
 	}
-	for y != ty {
-		dir := South
-		ny := y + 1
-		if y > ty {
-			dir, ny = North, y-1
-		}
-		n.linkBytes[cur][dir] += uint64(bytes)
-		y = ny
-		cur = n.cfg.TileAt(x, y)
-		hops++
+	for x := src.x; x > dst.x; x-- {
+		n.linkBytes[cur][West] += b
+		cur--
 	}
-	n.byteHops += uint64(bytes) * uint64(hops)
+	for y := src.y; y < dst.y; y++ {
+		n.linkBytes[cur][South] += b
+		cur += w
+	}
+	for y := src.y; y > dst.y; y-- {
+		n.linkBytes[cur][North] += b
+		cur -= w
+	}
+	hops = abs(dst.x-src.x) + abs(dst.y-src.y)
+	n.byteHops += b * uint64(hops)
 	if hops > 0 {
 		n.flitHops += uint64(hops) + 1
 	}
 	if n.tr != nil {
-		n.tr.EmitUntimed(trace.EvNoCMsg, from, uint64(bytes)*uint64(hops), int32(to))
+		n.tr.EmitUntimed(trace.EvNoCMsg, from, b*uint64(hops), int32(to))
 	}
 	return hops, n.cfg.HopLatency(hops)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // SendCtrl accounts for a control message (request, invalidation, ack) of
