@@ -63,7 +63,9 @@ func (e Event) String() string {
 	case LinkFail:
 		return fmt.Sprintf("link=%d-%d@%d", e.LinkA, e.LinkB, e.Cycle)
 	case RRTShrink:
-		if e.Core >= 0 {
+		// Only -1 means every core; any other core, even one Validate
+		// will reject, is spelled out so that Parse round-trips it.
+		if e.Core != -1 {
 			return fmt.Sprintf("rrt=%d:%d@%d", e.Core, e.NewCapacity, e.Cycle)
 		}
 		return fmt.Sprintf("rrt=%d@%d", e.NewCapacity, e.Cycle)

@@ -40,10 +40,9 @@ func TableII(cfg Config) (stats.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	for i, name := range workloads.Names() {
-		spec, _ := workloads.Get(name, cfg.Factor)
+	for i, spec := range workloads.All(cfg.Factor) {
 		r := results[i]
-		t.AddRow(name, spec.Problem,
+		t.AddRow(spec.Name, spec.Problem,
 			fmt.Sprintf("%.2f", float64(spec.InputBytes)/(1<<20)),
 			fmt.Sprintf("%d", r.Tasks),
 			fmt.Sprintf("%.0f", r.AvgTaskKB))

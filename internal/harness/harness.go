@@ -186,6 +186,25 @@ func resolveSpec(bench string, f workloads.Factor) (workloads.Spec, error) {
 	return workloads.Spec{}, fmt.Errorf("harness: unknown benchmark %q", bench)
 }
 
+// checkBench returns resolveSpec's error for a benchmark name without
+// building the workload: a Table II name passes on membership and a
+// generator name on workgen.Parse plus Params.Validate, workgen.New's
+// only error path. Admission checks names here so that the spec is
+// built once per run, in run.
+func checkBench(bench string) error {
+	if workloads.Has(bench) {
+		return nil
+	}
+	if workgen.IsName(bench) {
+		p, err := workgen.Parse(bench)
+		if err != nil {
+			return err
+		}
+		return p.Validate()
+	}
+	return fmt.Errorf("harness: unknown benchmark %q", bench)
+}
+
 // run executes a validated job. Only cancellation errors come back
 // tagged with the job; its callers tag the rest.
 func run(ctx context.Context, j Job) (Result, error) {

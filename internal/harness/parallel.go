@@ -48,15 +48,16 @@ func (j Job) Validate() error { return j.validate() }
 // failing job in a big batch is identifiable from the error alone
 // (pinned by TestJobValidateErrorFormat).
 func (j Job) validate() error {
-	if _, err := resolveSpec(j.Bench, j.Cfg.Factor); err != nil {
+	if err := checkBench(j.Bench); err != nil {
 		return identify(j.Bench, j.Kind, err)
 	}
 	return j.check()
 }
 
-// check is validate minus resolving the workload, for Run: run resolves
-// it anyway, and building a workload twice per run is not free (all
-// eight Table II specs, or a whole generated DAG).
+// check is everything validate checks except the benchmark name. Run
+// calls it alone because run's resolveSpec reports a bad name with the
+// same error; admission (Validate, RunMany's up-front pass) adds
+// checkBench, which names the error without building the workload.
 func (j Job) check() error {
 	switch j.Kind {
 	case SNUCA, RNUCA, TDNUCA, TDBypassOnly, TDNoISA:

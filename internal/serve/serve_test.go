@@ -336,7 +336,9 @@ func TestInvalidSpecRejected(t *testing.T) {
 		"policy": {Bench: "MD5", Policy: "bogus"},
 		"mesh":   {Bench: "MD5", Policy: "snuca", Mesh: "4by4"},
 		"faults": {Bench: "MD5", Policy: "snuca", Faults: "gibberish"},
-		"combo":  {Bench: "MD5", Policy: "snuca", Faults: "bank=3@1000", Trace: true},
+		// Core -2 is out of range; it must not normalize to every core.
+		"fault core": {Bench: "MD5", Policy: "tdnuca", Faults: "rrt=-2:4@0"},
+		"combo":      {Bench: "MD5", Policy: "snuca", Faults: "bank=3@1000", Trace: true},
 	} {
 		code, _, apiErr := submit(t, ts, spec)
 		if apiErr == nil || code != http.StatusBadRequest || apiErr.Kind != "invalid_spec" {

@@ -1,8 +1,6 @@
 // Package sim provides the small deterministic simulation kernel the rest
-// of the simulator is built on: a cycle type, a seeded xorshift RNG (no
-// global state, no wall clock — every run is bit-reproducible), a
-// next-free-time occupancy server for modelling busy resources, and a
-// generic min-heap event queue used by the task scheduler.
+// of the simulator is built on: a cycle type and a seeded xorshift RNG
+// (no global state, no wall clock — every run is bit-reproducible).
 package sim
 
 // Cycles counts simulated clock cycles.
@@ -76,38 +74,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 func (r *RNG) Fork(label uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (label * 0xbf58476d1ce4e5b9) ^ 0x94d049bb133111eb)
 }
-
-// Server models a single resource (an LLC bank, a memory controller) with
-// FIFO service and a next-free-time discipline: a request arriving at
-// `now` starts service at max(now, nextFree) and occupies the server for
-// `service` cycles. Busy time and request counts are accumulated for
-// utilization statistics.
-type Server struct {
-	nextFree Cycles
-	busy     Cycles
-	requests uint64
-}
-
-// Serve admits a request arriving at now that needs service cycles of
-// occupancy. It returns the cycle at which service starts (>= now) and
-// the cycle at which it completes.
-func (s *Server) Serve(now, service Cycles) (start, done Cycles) {
-	start = Max(now, s.nextFree)
-	done = start + service
-	s.nextFree = done
-	s.busy += service
-	s.requests++
-	return start, done
-}
-
-// BusyCycles returns the total cycles of service the server has performed.
-func (s *Server) BusyCycles() Cycles { return s.busy }
-
-// Requests returns the number of requests served.
-func (s *Server) Requests() uint64 { return s.requests }
-
-// NextFree returns the cycle at which the server next becomes idle.
-func (s *Server) NextFree() Cycles { return s.nextFree }
-
-// Reset clears all state and statistics.
-func (s *Server) Reset() { *s = Server{} }

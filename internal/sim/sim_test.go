@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
@@ -87,112 +84,6 @@ func TestForkIndependence(t *testing.T) {
 	f2 := r.Fork(2)
 	if f1.Uint64() == f2.Uint64() {
 		t.Error("forked streams with different labels collided immediately")
-	}
-}
-
-func TestServerFIFO(t *testing.T) {
-	var s Server
-	start, done := s.Serve(10, 5)
-	if start != 10 || done != 15 {
-		t.Errorf("idle server: start=%d done=%d, want 10,15", start, done)
-	}
-	// Arriving while busy waits for the server.
-	start, done = s.Serve(12, 5)
-	if start != 15 || done != 20 {
-		t.Errorf("busy server: start=%d done=%d, want 15,20", start, done)
-	}
-	// Arriving after it drained starts immediately.
-	start, done = s.Serve(100, 1)
-	if start != 100 || done != 101 {
-		t.Errorf("drained server: start=%d done=%d, want 100,101", start, done)
-	}
-	if s.BusyCycles() != 11 || s.Requests() != 3 {
-		t.Errorf("stats: busy=%d reqs=%d, want 11,3", s.BusyCycles(), s.Requests())
-	}
-	s.Reset()
-	if s.BusyCycles() != 0 || s.Requests() != 0 || s.NextFree() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestServerProperty(t *testing.T) {
-	f := func(arrivals []uint16, services []uint8) bool {
-		var s Server
-		var prevDone Cycles
-		n := len(arrivals)
-		if len(services) < n {
-			n = len(services)
-		}
-		var now Cycles
-		for i := 0; i < n; i++ {
-			now += Cycles(arrivals[i] % 100) // non-decreasing arrival times
-			start, done := s.Serve(now, Cycles(services[i]%20))
-			if start < now || start < prevDone || done != start+Cycles(services[i]%20) {
-				return false
-			}
-			prevDone = done
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue[string]
-	q.Push(30, "c")
-	q.Push(10, "a")
-	q.Push(20, "b")
-	q.Push(10, "a2") // tie: FIFO after "a"
-	want := []struct {
-		at Cycles
-		v  string
-	}{{10, "a"}, {10, "a2"}, {20, "b"}, {30, "c"}}
-	for _, w := range want {
-		at, v, ok := q.Pop()
-		if !ok || at != w.at || v != w.v {
-			t.Fatalf("Pop = (%d,%q,%v), want (%d,%q)", at, v, ok, w.at, w.v)
-		}
-	}
-	if _, _, ok := q.Pop(); ok {
-		t.Error("Pop on empty queue returned ok")
-	}
-}
-
-func TestEventQueuePeek(t *testing.T) {
-	var q EventQueue[int]
-	if _, _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue returned ok")
-	}
-	q.Push(5, 99)
-	at, v, ok := q.Peek()
-	if !ok || at != 5 || v != 99 {
-		t.Errorf("Peek = (%d,%d,%v)", at, v, ok)
-	}
-	if q.Len() != 1 {
-		t.Error("Peek consumed the event")
-	}
-}
-
-func TestEventQueueHeapProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		var q EventQueue[int]
-		for i, at := range times {
-			q.Push(Cycles(at), i)
-		}
-		var prev Cycles
-		for q.Len() > 0 {
-			at, _, _ := q.Pop()
-			if at < prev {
-				return false
-			}
-			prev = at
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

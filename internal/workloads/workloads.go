@@ -56,27 +56,52 @@ type Spec struct {
 	Build func(rt *taskrt.Runtime)
 }
 
+// tableII is the benchmark registry in Table II order: Names, All, Get
+// and Has all derive from it, and Get builds only the named benchmark.
+var tableII = []struct {
+	name  string
+	build func(Factor) Spec
+}{
+	{"Gauss", Gauss}, {"Histo", Histo}, {"Jacobi", Jacobi}, {"Kmeans", Kmeans},
+	{"KNN", KNN}, {"LU", LU}, {"MD5", MD5}, {"Redblack", Redblack},
+}
+
 // All returns the eight benchmarks at the given scale, in Table II order.
 func All(f Factor) []Spec {
-	return []Spec{
-		Gauss(f), Histo(f), Jacobi(f), Kmeans(f),
-		KNN(f), LU(f), MD5(f), Redblack(f),
+	specs := make([]Spec, len(tableII))
+	for i, b := range tableII {
+		specs[i] = b.build(f)
 	}
+	return specs
 }
 
 // Get returns the named benchmark at the given scale.
 func Get(name string, f Factor) (Spec, bool) {
-	for _, s := range All(f) {
-		if s.Name == name {
-			return s, true
+	for _, b := range tableII {
+		if b.name == name {
+			return b.build(f), true
 		}
 	}
 	return Spec{}, false
 }
 
+// Has reports whether name is a Table II benchmark, without building it.
+func Has(name string) bool {
+	for _, b := range tableII {
+		if b.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Names lists the benchmark names in Table II order.
 func Names() []string {
-	return []string{"Gauss", "Histo", "Jacobi", "Kmeans", "KNN", "LU", "MD5", "Redblack"}
+	names := make([]string, len(tableII))
+	for i, b := range tableII {
+		names[i] = b.name
+	}
+	return names
 }
 
 // arena hands out non-overlapping virtual address ranges for the
@@ -96,20 +121,6 @@ func (a *arena) alloc(bytes uint64) amath.Range {
 	r := amath.NewRange(a.next, bytes)
 	a.next = (a.next + amath.Addr(bytes) + page - 1).AlignDown(page) + page
 	return r
-}
-
-// chunks splits a region into n equal consecutive ranges. bytes must be
-// divisible by n; callers construct regions that way.
-func chunks(r amath.Range, n int) []amath.Range {
-	if n <= 0 || r.Size%uint64(n) != 0 {
-		panic(fmt.Sprintf("workloads: cannot split %d bytes into %d chunks", r.Size, n))
-	}
-	sz := r.Size / uint64(n)
-	out := make([]amath.Range, n)
-	for i := range out {
-		out[i] = amath.NewRange(r.Start+amath.Addr(uint64(i)*sz), sz)
-	}
-	return out
 }
 
 // roundUp64 rounds bytes up to a multiple of the 64B cache block, with a

@@ -189,17 +189,46 @@ func TestHistoIsWriteHeavy(t *testing.T) {
 	}
 }
 
+// TestGetAndNames checks that Names, All, Get and Has are views of the
+// one Table II registry: same names in Table II order, and Get builds
+// the same spec All does, at the default scale and at 1/128.
 func TestGetAndNames(t *testing.T) {
-	if len(Names()) != 8 {
-		t.Fatalf("Names() = %v", Names())
+	want := []string{"Gauss", "Histo", "Jacobi", "Kmeans", "KNN", "LU", "MD5", "Redblack"}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	for _, n := range Names() {
-		if _, ok := Get(n, tiny); !ok {
-			t.Errorf("Get(%q) failed", n)
+	for _, f := range []Factor{DefaultFactor, tiny} {
+		all := All(f)
+		if len(all) != len(names) {
+			t.Fatalf("factor %v: All has %d specs, Names %d", f, len(all), len(names))
 		}
-	}
-	if _, ok := Get("nope", tiny); ok {
-		t.Error("Get of unknown benchmark succeeded")
+		for i, n := range names {
+			if n != want[i] || all[i].Name != n {
+				t.Errorf("factor %v: position %d: Names %q, All %q, Table II %q", f, i, n, all[i].Name, want[i])
+			}
+			if !Has(n) {
+				t.Errorf("Has(%q) = false", n)
+			}
+			got, ok := Get(n, f)
+			if !ok {
+				t.Fatalf("factor %v: Get(%q) failed", f, n)
+			}
+			if got.Name != all[i].Name || got.Problem != all[i].Problem ||
+				got.InputBytes != all[i].InputBytes || got.FootprintBytes != all[i].FootprintBytes {
+				t.Errorf("factor %v: Get(%q) = {%q %q %d %d}, All = {%q %q %d %d}", f, n,
+					got.Name, got.Problem, got.InputBytes, got.FootprintBytes,
+					all[i].Name, all[i].Problem, all[i].InputBytes, all[i].FootprintBytes)
+			}
+		}
+		for _, n := range []string{"nope", "gauss", "LU ", "", "gen:seed=1"} {
+			if _, ok := Get(n, f); ok {
+				t.Errorf("factor %v: Get(%q) succeeded", f, n)
+			}
+			if Has(n) {
+				t.Errorf("Has(%q) = true", n)
+			}
+		}
 	}
 }
 
