@@ -10,16 +10,15 @@
 #                    stay fast enough to run on every PR
 #   make race        race detector over the concurrent harness and the
 #                    packages its worker pool drives
-#   make bench       measure the simulator-core benchmarks and write the
-#                    machine-readable BENCH_simcore.json
 #   make bench-quick one iteration of every benchmark (compile + smoke)
 #   make bench-smoke the end-to-end benchmark module's own tests (bench/,
 #                    the harness bench/run.sh builds), run with that
 #                    script's hermetic Go environment
 #   make bench-ab    REF=<commit> WORKLOAD=<w> PAIRS=10: the working tree
 #                    against REF on bench/run.sh in alternating pairs,
-#                    with medians, IQRs, wins and a verdict per metric
-#                    (about 70 s per pair; not part of ci)
+#                    with medians, IQRs, wins, a confidence band on the
+#                    paired ratio and a verdict per metric (about 70 s
+#                    per pair; not part of ci)
 #   make trace-smoke one traced run through the experiments CLI: writes
 #                    and validates the Chrome trace + interval series and
 #                    checks the cycle stack sums to cores x makespan
@@ -50,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-timing bench bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet fmt-check lint lint-timing bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -89,14 +88,6 @@ lint: fmt-check vet
 # CI worker; tripping it means a pass went superlinear.
 lint-timing:
 	$(GO) run ./cmd/tdnuca-lint -budget 60s
-
-# The tracked simulator-core numbers: ns and allocs per simulated
-# access (hit and eviction-churn variants) plus the full experiment
-# suite's wall time, written as BENCH_simcore.json next to the frozen
-# pre-optimization baseline (schema in EXPERIMENTS.md).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMemoryAccess$$|BenchmarkMemoryAccessEvict$$|BenchmarkFullSuite$$|BenchmarkFullSuiteSequential$$|BenchmarkFullSuiteParallel2$$|BenchmarkFullSuiteParallel4$$' \
-		-benchmem -timeout 3600s . | $(GO) run ./cmd/tdnuca-bench -o BENCH_simcore.json
 
 # One iteration of every benchmark: proves they still compile and run,
 # cheap enough for CI.

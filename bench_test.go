@@ -277,31 +277,6 @@ func BenchmarkFullSuiteSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkFullSuiteParallel2 runs the suite on a two-goroutine run
-// pool — the run-level parallelism axis recorded as
-// full_suite_parallel_speedup in BENCH_simcore.json. Results are
-// digest-identical to sequential (internal/harness equivalence tests);
-// the achievable speedup is bounded by the host's schedulable CPUs.
-func BenchmarkFullSuiteParallel2(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 2, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullSuiteParallel4 is BenchmarkFullSuiteParallel2 with four
-// workers — the denominator of full_suite_parallel_speedup.
-func BenchmarkFullSuiteParallel4(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: cfg}, 4, tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSingleRun measures one LU run under TD-NUCA.
 func BenchmarkSingleRun(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()

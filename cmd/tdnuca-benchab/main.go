@@ -3,9 +3,10 @@
 // --trace 0). It checks the reference out in a git worktree under
 // .bench_build/, runs the two sides in alternating pairs on seeds 1, 2,
 // ..., and prints each end-to-end metric's median and interquartile
-// range per side, how many pairs the working tree won and a verdict
-// against the metric's bound in BENCHMARK.json — the comparison
-// bench/README.md describes.
+// range per side, how many pairs the working tree won, a
+// distribution-free confidence band for the median change/ref ratio and
+// a verdict against the metric's bound in BENCHMARK.json — the
+// comparison bench/README.md describes.
 //
 // Usage, from the repository root (or `make bench-ab REF=... WORKLOAD=...`):
 //
@@ -157,15 +158,15 @@ func run(ref, workload string, pairs int, out io.Writer) error {
 	fmt.Fprintf(out, "workload %s: change = working tree, ref = %.12s; --seconds %d; %d pairs, %d failed invocations\n",
 		workload, sha, seconds, pairs, failed)
 	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "metric\tunit\tbound\tref median\tref IQR\tchange median\tchange IQR\tchange/ref\twins\tverdict\t")
+	fmt.Fprintln(tw, "metric\tunit\tbound\tref median\tref IQR\tchange median\tchange IQR\tchange/ref\tratio band\twins\tverdict\t")
 	for _, k := range sortedKeys(samples) {
 		spec, ok := specs[k[strings.LastIndex(k, "/")+1:]]
 		if !ok {
 			continue
 		}
 		c := compare(spec, samples[k][0], samples[k][1])
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4g\t%.3g\t%.4g\t%.3g\t%.3f\t%d/%d\t%s\t\n", k, spec.Unit, spec.Bound,
-			c.refMed, c.refIQR, c.chgMed, c.chgIQR, c.chgMed/c.refMed, c.wins, c.n, c.verdict)
+		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4g\t%.3g\t%.4g\t%.3g\t%.3f\t%s\t%d/%d\t%s\t\n", k, spec.Unit, spec.Bound,
+			c.refMed, c.refIQR, c.chgMed, c.chgIQR, c.chgMed/c.refMed, c.band, c.wins, c.n, c.verdict)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -184,6 +185,7 @@ type comparison struct {
 	n, wins        int
 	refMed, refIQR float64
 	chgMed, chgIQR float64
+	band           string // ratioBand, formatted
 	verdict        string
 }
 
@@ -210,6 +212,11 @@ func compare(spec metricSpec, ref, chg []float64) comparison {
 			c.wins++
 		}
 	}
+	if lo, hi, cover, ok := ratioBand(ref, chg); ok {
+		c.band = fmt.Sprintf("%.3f..%.3f @%.0f%%", lo, hi, 100*cover)
+	} else {
+		c.band = "-"
+	}
 	gap := sign * (c.refMed - c.chgMed)
 	worse := 0.0
 	if c.refMed != 0 {
@@ -227,6 +234,46 @@ func compare(spec metricSpec, ref, chg []float64) comparison {
 		c.verdict = "within bound"
 	}
 	return c
+}
+
+// bandTarget is the least coverage ratioBand accepts. With 10 pairs the
+// tightest band that reaches it is the 3rd to 8th order statistic, at
+// 1-2*56/1024 = 89.1% coverage.
+const bandTarget = 0.85
+
+// ratioBand is a distribution-free confidence interval for the median of
+// the paired ratios chg[i]/ref[i]. For n pairs the interval between the
+// k-th smallest and k-th largest log-ratio covers the true median with
+// probability 1-2*P(Binomial(n, 1/2) <= k-1), whatever the ratios'
+// distribution (the sign-test interval); ratioBand takes the largest k
+// whose coverage is at least bandTarget and returns the bounds as ratios
+// with that exact coverage. ok is false when there are too few pairs
+// (fewer than 4) for even the full range to reach the target, or when a
+// sample is not positive.
+func ratioBand(ref, chg []float64) (lo, hi, coverage float64, ok bool) {
+	n := len(ref)
+	logs := make([]float64, n)
+	for i := range ref {
+		if ref[i] <= 0 || chg[i] <= 0 {
+			return 0, 0, 0, false
+		}
+		logs[i] = math.Log(chg[i] / ref[i])
+	}
+	sort.Float64s(logs)
+	// tail accumulates P(Binomial(n, 1/2) <= k-1) as k grows; term is
+	// C(n, k-1)/2^n.
+	k, tail, term := 0, 0.0, math.Ldexp(1, -n)
+	for j := 0; 2*(j+1) <= n; j++ {
+		if 1-2*(tail+term) < bandTarget {
+			break
+		}
+		k, tail = j+1, tail+term
+		term = term * float64(n-j) / float64(j+1)
+	}
+	if k == 0 {
+		return 0, 0, 0, false
+	}
+	return math.Exp(logs[k-1]), math.Exp(logs[n-k]), 1 - 2*tail, true
 }
 
 // quartiles returns the first quartile, median and third quartile of

@@ -62,3 +62,61 @@ func TestCompareVerdicts(t *testing.T) {
 		t.Errorf("8/10 wins: verdict %q wins %d", c.verdict, c.wins)
 	}
 }
+
+// TestRatioBand checks the sign-test band against hand-computed order
+// statistics and coverages: C(n, i)/2^n summed by hand for each n.
+func TestRatioBand(t *testing.T) {
+	ones := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 1
+		}
+		return xs
+	}
+	// Ratios 0.80, 0.81, ..., in scrambled order; ref is 2 so the ratio
+	// is chg/2.
+	ratios := func(n int) (ref, chg []float64) {
+		ref = make([]float64, n)
+		chg = make([]float64, n)
+		for i := range ref {
+			ref[i] = 2
+			chg[i] = 2 * (0.80 + 0.01*float64((i*7)%n))
+		}
+		return ref, chg
+	}
+	ref10, chg10 := ratios(10)
+	ref20, chg20 := ratios(20)
+	ref5, chg5 := ratios(5)
+	for _, tc := range []struct {
+		name          string
+		ref, chg      []float64
+		ok            bool
+		lo, hi, cover float64
+	}{
+		// k=3: 1 - 2*(1+10+45)/1024 = 912/1024.
+		{"10 pairs", ref10, chg10, true, 0.82, 0.87, 912.0 / 1024},
+		// k=7: 1 - 2*(1+20+190+1140+4845+15504+38760)/2^20.
+		{"20 pairs", ref20, chg20, true, 0.86, 0.93, 1 - 2*60460.0/(1<<20)},
+		// k=1 (min..max): 1 - 2/32; k=2 would be 1 - 12/32.
+		{"5 pairs", ref5, chg5, true, 0.80, 0.84, 30.0 / 32},
+		// k=1 at n=4: 1 - 2/16 = 87.5%.
+		{"4 equal pairs", ones(4), ones(4), true, 1, 1, 14.0 / 16},
+		// Even min..max of 3 pairs covers only 75%.
+		{"3 pairs", ones(3), ones(3), false, 0, 0, 0},
+		{"no pairs", nil, nil, false, 0, 0, 0},
+		{"zero sample", []float64{1, 1, 1, 0}, ones(4), false, 0, 0, 0},
+	} {
+		lo, hi, cover, ok := ratioBand(tc.ref, tc.chg)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		const eps = 1e-12
+		if math.Abs(lo-tc.lo) > eps || math.Abs(hi-tc.hi) > eps || math.Abs(cover-tc.cover) > eps {
+			t.Errorf("%s: band %.15g..%.15g @%.15g, want %.15g..%.15g @%.15g", tc.name, lo, hi, cover, tc.lo, tc.hi, tc.cover)
+		}
+	}
+	if c := compare(metricSpec{Better: "lower", Bound: 0.1}, ref10, chg10); c.band != "0.820..0.870 @89%" {
+		t.Errorf("compare band = %q", c.band)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"tdnuca/internal/amath"
+	"tdnuca/internal/cache"
 )
 
 // Config carries every architectural parameter of the simulated machine.
@@ -26,7 +27,8 @@ type Config struct {
 	BlockBytes int
 	PageBytes  int
 
-	// L1 data cache (per core).
+	// L1 data cache (per core). L1Ways and LLCWays must be powers of two
+	// no larger than cache.MaxWays (the pseudo-LRU tree's width).
 	L1Bytes   int
 	L1Ways    int
 	L1Latency int // cycles per L1 lookup (hit time)
@@ -284,10 +286,22 @@ func (c *Config) Validate() error {
 	if c.PageBytes < c.BlockBytes {
 		return fmt.Errorf("arch: PageBytes (%d) smaller than BlockBytes (%d)", c.PageBytes, c.BlockBytes)
 	}
-	if c.L1Ways <= 0 || c.L1Bytes%(c.L1Ways*c.BlockBytes) != 0 {
+	for _, p := range []struct {
+		name string
+		v    int
+	}{
+		{"L1Ways", c.L1Ways},
+		{"LLCWays", c.LLCWays},
+	} {
+		if p.v <= 0 || p.v&(p.v-1) != 0 || p.v > cache.MaxWays {
+			return fmt.Errorf("arch: %s (%d) must be a power of two no larger than %d (the 32-bit pseudo-LRU tree)",
+				p.name, p.v, cache.MaxWays)
+		}
+	}
+	if c.L1Bytes%(c.L1Ways*c.BlockBytes) != 0 {
 		return fmt.Errorf("arch: L1 %dB/%d-way not divisible into %dB-block sets", c.L1Bytes, c.L1Ways, c.BlockBytes)
 	}
-	if c.LLCWays <= 0 || c.LLCBankBytes%(c.LLCWays*c.BlockBytes) != 0 {
+	if c.LLCBankBytes%(c.LLCWays*c.BlockBytes) != 0 {
 		return fmt.Errorf("arch: LLC bank %dB/%d-way not divisible into %dB-block sets", c.LLCBankBytes, c.LLCWays, c.BlockBytes)
 	}
 	if c.DirWays <= 0 || c.DirEntriesPerBank%c.DirWays != 0 {

@@ -3,6 +3,8 @@ package arch
 import (
 	"testing"
 	"testing/quick"
+
+	"tdnuca/internal/cache"
 )
 
 func TestDefaultConfigIsTableI(t *testing.T) {
@@ -70,6 +72,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"dir not divisible":  func(c *Config) { c.DirEntriesPerBank = 33 },
 		"dir below lines":    func(c *Config) { c.DirEntriesPerBank = 16 << 10 },
 		"too many cores":     func(c *Config) { c.NumCores = 400; c.MeshWidth = 20; c.MeshHeight = 20 },
+		// Divisible geometries whose associativity the cache model's
+		// pseudo-LRU tree cannot represent: rejected here, not later in
+		// machine.New.
+		"non-pow2 L1 ways": func(c *Config) { c.L1Bytes, c.L1Ways = 48<<10, 6 },
+		"64-way L1":        func(c *Config) { c.L1Ways = 64 },
+		"64-way LLC":       func(c *Config) { c.LLCWays = 64 },
 	}
 	for name, mutate := range mutations {
 		c := DefaultConfig()
@@ -84,6 +92,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	c.RRTEntries = 0
 	if err := c.Validate(); err != nil {
 		t.Errorf("zero RRT entries should be arch-valid (policy-level check): %v", err)
+	}
+}
+
+// TestValidateAcceptsWidestWays pins the associativity bound to the cache
+// model's: cache.MaxWays-way L1s and banks validate and build.
+func TestValidateAcceptsWidestWays(t *testing.T) {
+	c := DefaultConfig()
+	c.L1Ways, c.LLCWays = cache.MaxWays, cache.MaxWays
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d-way caches rejected: %v", cache.MaxWays, err)
+	}
+	if _, err := cache.New(c.LLCBankBytes, c.LLCWays, c.BlockBytes); err != nil {
+		t.Errorf("cache.New rejected a validated bank: %v", err)
 	}
 }
 

@@ -49,6 +49,10 @@ func (s State) IsValid() bool { return s != Invalid }
 // one address.
 const noTag = ^uint64(0)
 
+// MaxWays is the widest associativity New accepts: the pseudo-LRU tree
+// of a set has ways-1 node bits and lives in one uint32.
+const MaxWays = 32
+
 // Stats aggregates the activity of one cache.
 type Stats struct {
 	Hits        uint64
@@ -83,7 +87,9 @@ type Cache struct {
 	numSets    int
 	ways       int
 	setMask    uint64
-	setBits    uint     // log2(numSets)
+	blockBits  uint8    // log2(blockBytes): block number = address >> blockBits
+	wayBits    uint8    // log2(ways): the pseudo-LRU tree's depth
+	setBits    uint8    // log2(numSets)
 	indexHash  bool     // XOR-folded set index (LLC banks)
 	tags       []uint64 // block number per slot (numSets * ways, row-major); noTag when invalid
 	states     []State  // MESI state per slot, parallel to tags
@@ -95,12 +101,13 @@ type Cache struct {
 	resident   int
 
 	// Miss cursor: after Access misses, the cursor remembers (set, tag)
-	// so the Insert that services the miss skips the redundant
-	// already-resident scan. The cursor asserts only that the tag is
-	// absent from the set; since Insert is the sole operation that makes
-	// a tag resident and every Insert clears the cursor, the assertion
-	// cannot go stale through intervening SetState/Invalidate/Flush
-	// traffic on the same cache.
+	// so the Insert that services the miss skips both the set-index hash
+	// and the redundant already-resident scan. The set is a function of
+	// the tag, so a matching tag alone identifies the cursor's set. The
+	// cursor asserts only that the tag is absent from the set; since
+	// Insert is the sole operation that makes a tag resident and every
+	// Insert clears the cursor, the assertion cannot go stale through
+	// intervening SetState/Invalidate/Flush traffic on the same cache.
 	curSet   int
 	curTag   uint64
 	curValid bool
@@ -110,14 +117,15 @@ type Cache struct {
 
 // New constructs a cache with the given total capacity in bytes. ways and
 // blockBytes must divide capacity into a power-of-two number of sets, and
-// ways itself must be a power of two (tree pseudo-LRU requirement; the
-// paper's L1s are 8-way and the LLC banks 16-way).
+// ways itself must be a power of two no larger than MaxWays (tree
+// pseudo-LRU requirement; the paper's L1s are 8-way and the LLC banks
+// 16-way).
 func New(capacityBytes, ways, blockBytes int) (*Cache, error) {
 	if ways <= 0 || ways&(ways-1) != 0 {
 		return nil, fmt.Errorf("cache: ways (%d) must be a positive power of two", ways)
 	}
-	if ways > 256 {
-		return nil, fmt.Errorf("cache: ways (%d) exceeds the 256-way MRU-hint limit", ways)
+	if ways > MaxWays {
+		return nil, fmt.Errorf("cache: ways (%d) exceeds the %d-way limit of the 32-bit pseudo-LRU tree", ways, MaxWays)
 	}
 	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: block size (%d) must be a positive power of two", blockBytes)
@@ -136,10 +144,12 @@ func New(capacityBytes, ways, blockBytes int) (*Cache, error) {
 	}
 	c := &Cache{
 		blockBytes: blockBytes,
+		blockBits:  uint8(amath.Log2(blockBytes)),
 		numSets:    numSets,
 		ways:       ways,
+		wayBits:    uint8(amath.Log2(ways)),
 		setMask:    uint64(numSets - 1),
-		setBits:    amath.Log2(numSets),
+		setBits:    uint8(amath.Log2(numSets)),
 		tags:       tags,
 		states:     make([]State, numSets*ways),
 		plru:       make([]uint32, numSets),
@@ -187,12 +197,17 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) Slots() int { return len(c.tags) }
 
 func (c *Cache) index(addr amath.Addr) (set int, tag uint64) {
-	block := addr.Block(c.blockBytes)
+	tag = uint64(addr) >> c.blockBits
+	return c.setOf(tag), tag
+}
+
+// setOf maps a block number to its set.
+func (c *Cache) setOf(block uint64) int {
 	if !c.indexHash {
-		return int(block & c.setMask), block
+		return int(block & c.setMask)
 	}
 	h := block ^ block>>c.setBits ^ block>>(2*c.setBits) ^ block>>(3*c.setBits)
-	return int(h & c.setMask), block
+	return int(h & c.setMask)
 }
 
 func (c *Cache) find(set int, tag uint64) int {
@@ -281,21 +296,24 @@ func (c *Cache) Insert(addr amath.Addr, st State) Victim {
 	if !st.IsValid() {
 		panic("cache: Insert with Invalid state")
 	}
-	set, tag := c.index(addr)
+	tag := uint64(addr) >> c.blockBits
 	if tag == noTag {
 		panic("cache: Insert of the block number reserved for invalid ways (1-byte blocks at the top address)")
 	}
-	base := set * c.ways
 	// The miss cursor proves the tag absent when this Insert services the
-	// Access that just missed; only then can the residency scan be skipped.
-	skipFind := c.curValid && c.curSet == set && c.curTag == tag
+	// Access that just missed; only then can the residency scan (and the
+	// set-index hash) be skipped.
+	if c.curValid && c.curTag == tag {
+		c.curValid = false
+		return c.fillWay(c.curSet, tag, st)
+	}
 	c.curValid = false
-	if !skipFind {
-		if w := c.find(set, tag); w >= 0 {
-			c.states[base+w] = st
-			c.touch(set, w)
-			return Victim{Slot: base + w}
-		}
+	set := c.setOf(tag)
+	if w := c.find(set, tag); w >= 0 {
+		slot := set*c.ways + w
+		c.states[slot] = st
+		c.touch(set, w)
+		return Victim{Slot: slot}
 	}
 	return c.fillWay(set, tag, st)
 }
@@ -330,7 +348,7 @@ func (c *Cache) fillWay(set int, tag uint64, st State) Victim {
 }
 
 func (c *Cache) blockAddr(tag uint64) amath.Addr {
-	return amath.Addr(tag * uint64(c.blockBytes))
+	return amath.Addr(tag << c.blockBits)
 }
 
 // SetState changes the MESI state of a resident block (coherence
@@ -355,16 +373,38 @@ func (c *Cache) Invalidate(addr amath.Addr) State {
 	if w < 0 {
 		return Invalid
 	}
-	return c.drop(set, w)
+	return c.drop(set*c.ways + w)
 }
 
-// drop removes the valid line in way w of set and returns its state. A
-// Modified line counts as a writeback.
-func (c *Cache) drop(set, w int) State {
-	slot := set*c.ways + w
+// SetStateSlot is SetState for the line in a slot a lookup of the same
+// block just returned: it skips the second lookup. It panics if the slot
+// holds no valid line.
+func (c *Cache) SetStateSlot(slot int, st State) {
+	if !st.IsValid() {
+		panic("cache: SetStateSlot to Invalid; use InvalidateSlot")
+	}
+	if !c.states[slot].IsValid() {
+		panic("cache: SetStateSlot on a slot holding no valid line")
+	}
+	c.states[slot] = st
+}
+
+// InvalidateSlot is Invalidate for the line in a slot a lookup of the
+// same block just returned, returning the state it held. It panics if
+// the slot holds no valid line.
+func (c *Cache) InvalidateSlot(slot int) State {
+	if !c.states[slot].IsValid() {
+		panic("cache: InvalidateSlot on a slot holding no valid line")
+	}
+	return c.drop(slot)
+}
+
+// drop removes the valid line in slot and returns its state. A Modified
+// line counts as a writeback.
+func (c *Cache) drop(slot int) State {
 	st := c.states[slot]
 	c.tags[slot], c.states[slot] = noTag, Invalid
-	c.valid[set]--
+	c.valid[slot>>c.wayBits]--
 	c.resident--
 	c.stats.Invalidates++
 	if st == Modified {
@@ -386,7 +426,7 @@ func (c *Cache) FlushRange(r amath.Range, fn func(block amath.Addr, st State, sl
 			if fn != nil {
 				fn(block, c.states[set*c.ways+w], set*c.ways+w)
 			}
-			c.drop(set, w)
+			c.drop(set*c.ways + w)
 			flushed++
 		}
 	})
@@ -436,22 +476,15 @@ func (c *Cache) buildPLRUMasks() {
 }
 
 // plruVictim walks the tree in the direction each node's bit points,
-// yielding the pseudo-least-recently-used way.
+// yielding the pseudo-least-recently-used way. The tree is a heap (node
+// n's children are 2n+1 and 2n+2), so a set bit — right half is LRU —
+// just adds one to the child index: the walk is a fixed-trip loop with
+// no data-dependent branch, ending at leaf ways-1+way.
 func (c *Cache) plruVictim(set int) int {
-	if c.ways == 1 {
-		return 0
-	}
 	bits := c.plru[set]
-	node, way := 0, 0
-	for span := c.ways; span > 1; span /= 2 {
-		half := span / 2
-		if bits&(1<<uint(node)) != 0 {
-			// Bit points right: right half is LRU.
-			way += half
-			node = 2*node + 2
-		} else {
-			node = 2*node + 1
-		}
+	node := 0
+	for i := uint8(0); i < c.wayBits; i++ {
+		node = 2*node + 1 + int(bits>>uint(node)&1)
 	}
-	return way
+	return node - (c.ways - 1)
 }

@@ -24,6 +24,8 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		{1024, 4, 48},       // non-pow2 block
 		{64 * 4 * 3, 4, 64}, // 3 sets, not pow2
 		{1024, 0, 64},
+		{64 * 64 * 64, 64, 64}, // wider than the 32-bit pseudo-LRU tree
+		{128 * 64, 128, 64},
 	}
 	for _, c := range cases {
 		if _, err := New(c.cap, c.ways, c.block); err == nil {

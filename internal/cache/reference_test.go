@@ -218,7 +218,7 @@ func (cacheOps) Generate(rng *rand.Rand, _ int) reflect.Value {
 	ops := make(cacheOps, 200+rng.Intn(400))
 	for i := range ops {
 		ops[i] = cacheOp{
-			Kind:  uint8(rng.Intn(9)),
+			Kind:  uint8(rng.Intn(12)),
 			Block: uint16(rng.Intn(1 << 16)),
 			Len:   uint8(rng.Intn(8)),
 			State: uint8(rng.Intn(3)),
@@ -228,7 +228,8 @@ func (cacheOps) Generate(rng *rand.Rand, _ int) reflect.Value {
 }
 
 // TestCacheMatchesReference drives Cache and refCache in lockstep through
-// random streams of every public operation, on 1-, 2-, 8- and 16-way
+// random streams of every public operation (the slot-addressed mutators
+// after the ProbeSlot that found their slot), on 1-, 2-, 8- and 16-way
 // geometries with and without the hashed set index, and compares every
 // returned state, slot and Victim plus Stats and Resident after each
 // operation.
@@ -284,6 +285,43 @@ func TestCacheMatchesReference(t *testing.T) {
 						})
 						wn, wseen := ref.flushRange(rg)
 						got, want = [2]any{n, seen}, [2]any{wn, wseen}
+					case 8, 9:
+						// A probe and the slot-addressed mutation of the line
+						// it found: the machine's coherence pattern.
+						gs, gslot := c.ProbeSlot(addr)
+						ws, wslot := ref.probeSlot(addr)
+						var gm, wm State
+						if gs.IsValid() {
+							if op.Kind == 8 {
+								c.SetStateSlot(gslot, st)
+							} else {
+								gm = c.InvalidateSlot(gslot)
+							}
+						}
+						if ws.IsValid() {
+							if op.Kind == 8 {
+								ref.lines[wslot].state = st
+							} else {
+								wm = ref.drop(wslot)
+							}
+						}
+						got, want = [3]any{gs, gslot, gm}, [3]any{ws, wslot, wm}
+					case 10:
+						// A miss, then an Insert into another set before the
+						// fill that services the miss: the intervening Insert
+						// must disarm the miss cursor.
+						other := otherSetBlock(ref, addr, footprint)
+						gs, gslot := c.AccessSlot(addr)
+						ws, wslot := ref.accessSlot(addr)
+						gv, wv := c.Insert(other, st), ref.insert(other, st)
+						gf, wf := Victim{}, Victim{}
+						if gs == Invalid {
+							gf = c.Insert(addr, st)
+						}
+						if ws == Invalid {
+							wf = ref.insert(addr, st)
+						}
+						got, want = [4]any{gs, gslot, gv, gf}, [4]any{ws, wslot, wv, wf}
 					default:
 						var seen []residentLine
 						c.EachResident(func(b amath.Addr, s State, slot int) {
@@ -307,6 +345,76 @@ func TestCacheMatchesReference(t *testing.T) {
 				t.Errorf("ways=%d hash=%v: %v", ways, hash, err)
 			}
 		}
+	}
+}
+
+// otherSetBlock returns the first block of the footprint, scanning up
+// from addr's, that maps to a different set than addr (addr itself when
+// the cache has one set).
+func otherSetBlock(r *refCache, addr amath.Addr, footprint int) amath.Addr {
+	set, _ := r.index(addr)
+	b := addr.Block(r.blockBytes)
+	for i := uint64(1); i < uint64(footprint); i++ {
+		cand := amath.Addr((b + i) % uint64(footprint) * uint64(r.blockBytes))
+		if s, _ := r.index(cand); s != set {
+			return cand
+		}
+	}
+	return addr
+}
+
+// TestPLRUVictimMatchesTreeWalk checks the branch-free victim against
+// the reference tree walk on every tree state at up to 16 ways (2^15
+// states) and on random states at 32 ways, the widest New accepts.
+func TestPLRUVictimMatchesTreeWalk(t *testing.T) {
+	const block = 64
+	for _, ways := range []int{1, 2, 4, 8, 16} {
+		c := MustNew(ways*block, ways, block)
+		ref := newRefCache(ways*block, ways, block, false)
+		for bits := uint32(0); bits < 1<<(ways-1); bits++ {
+			c.plru[0], ref.plru[0] = bits, bits
+			if got, want := c.plruVictim(0), ref.victim(0); got != want {
+				t.Fatalf("ways=%d tree %#x: victim %d, tree walk %d", ways, bits, got, want)
+			}
+		}
+	}
+	const ways = 32
+	c := MustNew(ways*block, ways, block)
+	ref := newRefCache(ways*block, ways, block, false)
+	agree := func(bits uint32) bool {
+		c.plru[0], ref.plru[0] = bits, bits
+		return c.plruVictim(0) == ref.victim(0)
+	}
+	if err := quick.Check(agree, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Errorf("ways=32: %v", err)
+	}
+}
+
+// TestSlotOpsPanicOnEmptySlot pins the slot mutators' guard: a slot that
+// holds no valid line — never filled, or vacated since the lookup that
+// returned it — is a caller bug, not a no-op.
+func TestSlotOpsPanicOnEmptySlot(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	c := MustNew(4*64, 4, 64)
+	mustPanic("SetStateSlot on a cold slot", func() { c.SetStateSlot(0, Modified) })
+	mustPanic("InvalidateSlot on a cold slot", func() { c.InvalidateSlot(0) })
+	slot := c.Insert(0, Exclusive).Slot
+	mustPanic("SetStateSlot to Invalid", func() { c.SetStateSlot(slot, Invalid) })
+	if st := c.InvalidateSlot(slot); st != Exclusive {
+		t.Fatalf("InvalidateSlot returned %v, want E", st)
+	}
+	mustPanic("SetStateSlot on a vacated slot", func() { c.SetStateSlot(slot, Shared) })
+	mustPanic("InvalidateSlot on a vacated slot", func() { c.InvalidateSlot(slot) })
+	if c.Resident() != 0 || c.Stats().Invalidates != 1 {
+		t.Errorf("resident %d invalidates %d after the panics, want 0 and 1", c.Resident(), c.Stats().Invalidates)
 	}
 }
 
@@ -340,5 +448,26 @@ func BenchmarkCacheAccessMiss(b *testing.B) {
 		if c.Access(addr) == Invalid {
 			c.Insert(addr, Shared)
 		}
+	}
+}
+
+// BenchmarkCacheInsertEvict times Insert on a hashed 16-way bank in
+// steady state: every set is full and every block is new, so each fill
+// scans its set, misses and evicts the pseudo-LRU victim.
+func BenchmarkCacheInsertEvict(b *testing.B) {
+	const ways, block, sets = 16, 64, 256
+	c := MustNew(sets*ways*block, ways, block)
+	c.EnableIndexHash()
+	for i := 0; i < c.Slots(); i++ {
+		c.Insert(amath.Addr(i*block), Exclusive)
+	}
+	if c.Resident() != c.Slots() {
+		b.Fatalf("warm-up filled %d of %d slots", c.Resident(), c.Slots())
+	}
+	base := c.Slots()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Insert(amath.Addr((base+i)*block), Exclusive)
 	}
 }

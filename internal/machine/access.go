@@ -32,14 +32,14 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 	}
 	m.met.Accesses++
 	lat := sim.Cycles(m.Cfg.TLBLatency)
-	if !m.TLBs[core].Access(uint64(va) / uint64(m.Cfg.PageBytes)) {
+	if !m.TLBs[core].Access(uint64(va) >> m.pageBits) {
 		lat += sim.Cycles(m.Cfg.PageWalkLatency)
 	}
 	pa := m.procAS(core).TranslateMRU(&m.trans[core], va).AlignDown(m.Cfg.BlockBytes)
 
 	lat += sim.Cycles(m.Cfg.L1Latency)
 	m.cs.L1 += lat // translation + private-cache lookup, charged on every access
-	st := m.L1s[core].Access(pa)
+	st, l1slot := m.L1s[core].AccessSlot(pa)
 	if m.tr != nil {
 		if st.IsValid() {
 			m.tr.Emit(trace.EvL1Hit, now, core, uint64(pa), 0)
@@ -61,7 +61,7 @@ func (m *Machine) AccessAt(core int, va amath.Addr, write bool, now sim.Cycles) 
 		if write {
 			// Silent E->M upgrade: no coherence action, but the page-table
 			// dirty bit is set, so an OS-based policy still observes it.
-			m.L1s[core].SetState(pa, cache.Modified)
+			m.L1s[core].SetStateSlot(l1slot, cache.Modified)
 			m.goldenWrite(core, pa)
 			if m.writeObs != nil {
 				w := m.writeObs.ObserveWrite(AccessContext{Core: core, Proc: m.coreProc[core], VA: va, PA: pa, Write: true})
@@ -161,7 +161,7 @@ func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now si
 		}
 		e := &b.dir[slot]
 		if write {
-			lat += m.invalidateCopies(bank, pa, e, core, now+lat)
+			lat += m.invalidateCopies(bank, slot, pa, e, core, now+lat)
 			e.sharers = arch.Mask{}
 			e.owner = core
 			// The LLC copy is now stale until the owner writes back; the
@@ -173,7 +173,7 @@ func (m *Machine) bankFill(core int, pa amath.Addr, bank int, write bool, now si
 		}
 		// Read hit: if a core holds the block exclusively, forward.
 		if e.owner >= 0 && e.owner != core {
-			lat += m.fetchFromOwner(bank, pa, e, now+lat)
+			lat += m.fetchFromOwner(bank, slot, pa, e, now+lat)
 		}
 		var st cache.State
 		if e.owner == core {
@@ -259,14 +259,16 @@ func (m *Machine) upgrade(core int, va, pa amath.Addr, now sim.Cycles) sim.Cycle
 		lat += fetchLat
 	}
 	e := &b.dir[slot]
-	lat += m.invalidateCopies(bank, pa, e, core, now+lat)
+	lat += m.invalidateCopies(bank, slot, pa, e, core, now+lat)
 	e.sharers = arch.Mask{}
 	e.owner = core
 	if !m.L1s[core].SetState(pa, cache.Modified) {
 		// The policy's transition flush (e.g. R-NUCA demoting a written
 		// read-only page) removed this core's own copy while deciding the
-		// placement; refill it as a write miss so the store lands in an
-		// M line. The bank already holds current data at this point.
+		// placement, so the line is looked up again by address rather
+		// than by a slot found before Place; refill it as a write miss so
+		// the store lands in an M line. The bank already holds current
+		// data at this point.
 		m.verifyServeFromBank(core, bank, pa)
 		dataHops, dataLat := m.Net.SendDataAt(bank, core, now+lat)
 		m.chargeNoC(dataHops, dataLat)
@@ -324,7 +326,7 @@ func (m *Machine) writebackFromL1(core int, pa amath.Addr, now sim.Cycles) {
 	b := m.Banks[bank]
 	m.met.LLCWritebacksIn++
 	if st, slot := b.Cache.ProbeSlot(pa); st.IsValid() {
-		b.Cache.SetState(pa, cache.Modified) // dirty at the LLC now
+		b.Cache.SetStateSlot(slot, cache.Modified) // dirty at the LLC now
 		if e := &b.dir[slot]; e.owner == core {
 			e.owner = -1
 		}

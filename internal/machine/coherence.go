@@ -11,8 +11,9 @@ import (
 // by the requesting core, returning the latency of the slowest
 // invalidation round trip (invalidations proceed in parallel). If the
 // exclusive owner holds a Modified copy it is written back to the bank
-// first so the LLC has current data.
-func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except int, now sim.Cycles) sim.Cycles {
+// first so the LLC has current data. slot is the block's line in the
+// bank and e its directory entry.
+func (m *Machine) invalidateCopies(bank, slot int, pa amath.Addr, e *dirEntry, except int, now sim.Cycles) sim.Cycles {
 	// Only the slowest round trip is on the critical path, so the cycle
 	// stack charges that one trip: its topological part to NoCHop and the
 	// queueing remainder to NoCQueue.
@@ -25,7 +26,7 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 		invHops, invLat := m.Net.SendCtrlAt(bank, core, now)
 		rt := invLat
 		rtTopo := sim.Cycles(m.Cfg.HopLatency(invHops))
-		st := m.L1s[core].Probe(pa)
+		st, l1slot := m.L1s[core].ProbeSlot(pa)
 		if st.IsValid() {
 			if st == cache.Modified {
 				// Dirty copy travels back with the acknowledgment.
@@ -33,14 +34,14 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 				wbHops, wbLat := m.Net.SendDataAt(core, bank, now+rt)
 				rt += wbLat
 				rtTopo += sim.Cycles(m.Cfg.HopLatency(wbHops))
-				m.Banks[bank].Cache.SetState(pa, cache.Modified)
+				m.Banks[bank].Cache.SetStateSlot(slot, cache.Modified)
 				m.met.LLCWritebacksIn++
 			} else {
 				ackHops, ackLat := m.Net.SendCtrlAt(core, bank, now+rt)
 				rt += ackLat
 				rtTopo += sim.Cycles(m.Cfg.HopLatency(ackHops))
 			}
-			m.L1s[core].Invalidate(pa)
+			m.L1s[core].InvalidateSlot(l1slot)
 			m.met.Invalidations++
 			if m.tr != nil {
 				m.tr.Emit(trace.EvDirInval, now, core, uint64(pa), int32(bank))
@@ -71,7 +72,8 @@ func (m *Machine) invalidateCopies(bank int, pa amath.Addr, e *dirEntry, except 
 // is written back (the bank's data becomes current) and the owner
 // downgrades to Shared. A clean or silently-evicted copy just
 // acknowledges. The directory entry is downgraded to the sharer form.
-func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.Cycles) sim.Cycles {
+// slot is the block's line in the bank and e its directory entry.
+func (m *Machine) fetchFromOwner(bank, slot int, pa amath.Addr, e *dirEntry, now sim.Cycles) sim.Cycles {
 	owner := e.owner
 	fwdHops, fwdLat := m.Net.SendCtrlAt(bank, owner, now)
 	m.chargeNoC(fwdHops, fwdLat)
@@ -80,21 +82,22 @@ func (m *Machine) fetchFromOwner(bank int, pa amath.Addr, e *dirEntry, now sim.C
 	if m.tr != nil {
 		m.tr.Emit(trace.EvDirForward, now, owner, uint64(pa), int32(bank))
 	}
-	switch m.L1s[owner].Probe(pa) {
+	st, l1slot := m.L1s[owner].ProbeSlot(pa)
+	switch st {
 	case cache.Modified:
 		m.verifyOwnerWriteback(owner, bank, pa)
 		wbHops, wbLat := m.Net.SendDataAt(owner, bank, now+lat)
 		m.chargeNoC(wbHops, wbLat)
 		lat += wbLat
-		m.Banks[bank].Cache.SetState(pa, cache.Modified)
+		m.Banks[bank].Cache.SetStateSlot(slot, cache.Modified)
 		m.met.LLCWritebacksIn++
-		m.L1s[owner].SetState(pa, cache.Shared)
+		m.L1s[owner].SetStateSlot(l1slot, cache.Shared)
 		e.sharers = e.sharers.Set(owner)
 	case cache.Exclusive, cache.Shared:
 		ackHops, ackLat := m.Net.SendCtrlAt(owner, bank, now+lat)
 		m.chargeNoC(ackHops, ackLat)
 		lat += ackLat
-		m.L1s[owner].SetState(pa, cache.Shared)
+		m.L1s[owner].SetStateSlot(l1slot, cache.Shared)
 		e.sharers = e.sharers.Set(owner)
 	default:
 		// Silent eviction: owner no longer has the block.
@@ -171,7 +174,7 @@ func (m *Machine) backInvalidate(bank int, pa amath.Addr, e dirEntry) (dirty boo
 	inv := func(core int) {
 		sent++
 		m.Net.SendCtrl(bank, core)
-		st := m.L1s[core].Probe(pa)
+		st, l1slot := m.L1s[core].ProbeSlot(pa)
 		if st.IsValid() {
 			if st == cache.Modified {
 				m.verifyOwnerWriteback(core, bank, pa)
@@ -181,7 +184,7 @@ func (m *Machine) backInvalidate(bank int, pa amath.Addr, e dirEntry) (dirty boo
 			} else {
 				m.Net.SendCtrl(core, bank)
 			}
-			m.L1s[core].Invalidate(pa)
+			m.L1s[core].InvalidateSlot(l1slot)
 			m.met.Invalidations++
 			m.verifyL1Drop(core, pa)
 		} else {

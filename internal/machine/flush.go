@@ -86,7 +86,7 @@ func (m *Machine) flushWriteback(core int, pa amath.Addr) sim.Cycles {
 	b := m.Banks[bank]
 	m.met.LLCWritebacksIn++
 	if st, slot := b.Cache.ProbeSlot(pa); st.IsValid() {
-		b.Cache.SetState(pa, cache.Modified)
+		b.Cache.SetStateSlot(slot, cache.Modified)
 		e := &b.dir[slot]
 		if e.owner == core {
 			e.owner = -1

@@ -173,10 +173,13 @@ type Machine struct {
 
 	// Hot-path accelerators. trans memoizes each core's last
 	// virtual-to-physical page translation (invalidated on BindCore);
-	// nearestMC precomputes Cfg.NearestMemCtrl per tile. Neither changes
-	// any simulated behavior.
+	// nearestMC precomputes Cfg.NearestMemCtrl per tile; pageBits and
+	// blockBits are log2 of Cfg.PageBytes and Cfg.BlockBytes, so page
+	// and block numbers are shifts. None changes any simulated behavior.
 	trans     []vm.TransCache
 	nearestMC []int
+	pageBits  uint
+	blockBits uint
 
 	// Bank-retirement state (see fault.go). bankMap is always the
 	// identity until the first RetireBank, so every resolve applies it
@@ -221,6 +224,8 @@ func New(cfg *arch.Config, fragEvery int, seed uint64) (*Machine, error) {
 		coreProc:  make([]int, cfg.NumCores),
 		trans:     make([]vm.TransCache, cfg.NumCores),
 		nearestMC: make([]int, cfg.NumCores),
+		pageBits:  cfg.PageOffsetBits(),
+		blockBits: cfg.BlockOffsetBits(),
 		bankMap:   make([]int, cfg.NumCores),
 	}
 	for i := range m.nearestMC {
@@ -328,7 +333,7 @@ func (m *Machine) TLBStats() (hits, misses uint64) {
 }
 
 // blockNum converts a physical address to its block number.
-func (m *Machine) blockNum(pa amath.Addr) uint64 { return pa.Block(m.Cfg.BlockBytes) }
+func (m *Machine) blockNum(pa amath.Addr) uint64 { return uint64(pa) >> m.blockBits }
 
 // interleaveBank is the S-NUCA static mapping: block number modulo banks,
 // remapped through the retirement map (identity on a healthy machine).

@@ -85,6 +85,11 @@ type RNUCA struct {
 	// switch it off.
 	AssumeInitWritten bool
 
+	// pageBits and blockBits are log2 of the validated power-of-two page
+	// and block sizes, so the per-access paths derive page and block
+	// numbers by shifts.
+	pageBits, blockBits uint8
+
 	stats Stats
 }
 
@@ -94,6 +99,8 @@ func New(m *machine.Machine) *RNUCA {
 		m:                 m,
 		cfg:               m.Cfg,
 		pages:             make(map[uint64]*pageInfo),
+		pageBits:          uint8(m.Cfg.PageOffsetBits()),
+		blockBits:         uint8(m.Cfg.BlockOffsetBits()),
 		ShootdownCycles:   arch.TLBShootdownCycles,
 		AssumeInitWritten: true,
 	}
@@ -121,7 +128,7 @@ func (r *RNUCA) pageRange(pp uint64) amath.Range {
 // TLB shootdowns charged to the faulting access) and returns the
 // placement R-NUCA prescribes for the class.
 func (r *RNUCA) Place(ac machine.AccessContext) (machine.Placement, sim.Cycles) {
-	pp := ac.PA.Page(r.cfg.PageBytes)
+	pp := uint64(ac.PA) >> r.pageBits
 	info, ok := r.pages[pp]
 	if !ok {
 		info = &pageInfo{class: ClassPrivate, owner: ac.Core, written: r.AssumeInitWritten}
@@ -131,14 +138,14 @@ func (r *RNUCA) Place(ac machine.AccessContext) (machine.Placement, sim.Cycles) 
 
 	var extra sim.Cycles
 	if !ac.Writeback {
-		blockInPage := (uint64(ac.PA) % uint64(r.cfg.PageBytes)) / uint64(r.cfg.BlockBytes)
+		blockInPage := (uint64(ac.PA) & (uint64(r.cfg.PageBytes) - 1)) >> r.blockBits
 		if blockInPage > 63 {
 			blockInPage = 63 // bitmap saturates for >4KB pages; counts stay approximate
 		}
 		info.touched |= 1 << blockInPage
 		info.accessors = info.accessors.Set(ac.Core)
 		if !ok {
-			info.ownerVP = uint64(ac.VA) / uint64(r.cfg.PageBytes)
+			info.ownerVP = uint64(ac.VA) >> r.pageBits
 		}
 		extra = r.reclassify(info, pp, ac)
 	}
@@ -164,7 +171,7 @@ func (r *RNUCA) Place(ac machine.AccessContext) (machine.Placement, sim.Cycles) 
 // dirty bit, so the OS classification must see the write — otherwise a
 // store into a replicated read-only page would leave stale replicas.
 func (r *RNUCA) ObserveWrite(ac machine.AccessContext) sim.Cycles {
-	pp := ac.PA.Page(r.cfg.PageBytes)
+	pp := uint64(ac.PA) >> r.pageBits
 	info, ok := r.pages[pp]
 	if !ok {
 		// An E line without a page record cannot occur on a demand path,

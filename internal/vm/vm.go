@@ -12,6 +12,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"tdnuca/internal/amath"
 	"tdnuca/internal/sim"
 )
@@ -65,9 +67,9 @@ func (pa *PhysAllocator) Allocated() uint64 { return pa.allocated }
 // AddressSpace is a process address space: the page table plus the
 // (possibly shared) physical page allocator that backs it on first touch.
 type AddressSpace struct {
-	pageBytes int
-	table     map[uint64]uint64 // virtual page number -> physical page number
-	alloc     *PhysAllocator
+	pageBits uint              // log2 of the page size: page number = address >> pageBits
+	table    map[uint64]uint64 // virtual page number -> physical page number
+	alloc    *PhysAllocator
 }
 
 // NewAddressSpace creates an empty address space with its own private
@@ -80,17 +82,21 @@ func NewAddressSpace(pageBytes int, fragEvery int, seed uint64) *AddressSpace {
 
 // NewAddressSpaceWith creates an address space backed by a shared
 // allocator — the multiprogrammed configuration, where several processes
-// draw frames from the same physical memory.
+// draw frames from the same physical memory. pageBytes must be a power
+// of two.
 func NewAddressSpaceWith(pageBytes int, alloc *PhysAllocator) *AddressSpace {
+	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
+		panic(fmt.Sprintf("vm: page size %d is not a positive power of two", pageBytes))
+	}
 	return &AddressSpace{
-		pageBytes: pageBytes,
-		table:     make(map[uint64]uint64),
-		alloc:     alloc,
+		pageBits: amath.Log2(pageBytes),
+		table:    make(map[uint64]uint64),
+		alloc:    alloc,
 	}
 }
 
 // PageBytes returns the page size of this address space.
-func (as *AddressSpace) PageBytes() int { return as.pageBytes }
+func (as *AddressSpace) PageBytes() int { return 1 << as.pageBits }
 
 // AllocatedPages returns how many physical pages this address space has
 // been handed (not the allocator-wide total).
@@ -116,9 +122,9 @@ func (as *AddressSpace) Lookup(virtPage uint64) (uint64, bool) {
 // Translate maps a virtual address to its physical address, allocating
 // the backing page on first touch.
 func (as *AddressSpace) Translate(va amath.Addr) amath.Addr {
-	off := uint64(va) % uint64(as.pageBytes)
-	pp := as.PhysPage(uint64(va) / uint64(as.pageBytes))
-	return amath.Addr(pp*uint64(as.pageBytes) + off)
+	pb := uint64(as.PageBytes())
+	pp := as.PhysPage(uint64(va) / pb)
+	return amath.Addr(pp*pb + uint64(va)%pb)
 }
 
 // TransCache is a one-entry MRU translation memo: the last virtual page
@@ -144,19 +150,18 @@ func (tc *TransCache) Invalidate() { tc.valid = false }
 //
 //tdnuca:hotpath
 func (as *AddressSpace) TranslateMRU(tc *TransCache, va amath.Addr) amath.Addr {
-	pb := uint64(as.pageBytes)
-	vp := uint64(va) / pb
+	vp := uint64(va) >> as.pageBits
 	if !tc.valid || tc.vp != vp {
 		tc.vp, tc.pp, tc.valid = vp, as.PhysPage(vp), true
 	}
-	return amath.Addr(tc.pp*pb + uint64(va)%pb)
+	return amath.Addr(tc.pp<<as.pageBits | uint64(va)&(1<<as.pageBits-1))
 }
 
 // Touch pre-faults every page of a virtual range, modelling initialization
 // code writing the data before the parallel phase.
 func (as *AddressSpace) Touch(r amath.Range) {
-	r.EachPage(as.pageBytes, func(page amath.Addr) {
-		as.PhysPage(uint64(page) / uint64(as.pageBytes))
+	r.EachPage(as.PageBytes(), func(page amath.Addr) {
+		as.PhysPage(uint64(page) >> as.pageBits)
 	})
 }
 
@@ -293,9 +298,9 @@ func TranslateRange(as *AddressSpace, tlb *TLB, r amath.Range, dst []amath.Range
 	if r.IsEmpty() {
 		return out
 	}
-	pb := uint64(as.pageBytes)
+	pb := uint64(as.PageBytes())
 	var cur amath.Range
-	r.EachPage(as.pageBytes, func(page amath.Addr) {
+	r.EachPage(as.PageBytes(), func(page amath.Addr) {
 		vp := uint64(page) / pb
 		out.TLBAccesses++
 		if !tlb.Access(vp) {
