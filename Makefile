@@ -41,9 +41,9 @@
 #                    direct runs, quarantine of corrupted cache entries
 #                    and a leak-free drain
 #   make fuzz-smoke  short fuzzes of the workload-generator name parser
-#                    and validator, of the -faults scenario parser and of
-#                    the service's job-spec boundary (seed corpora always
-#                    run under test)
+#                    and validator, of the -faults scenario parser, of
+#                    the service's job-spec boundary and of its disk-cache
+#                    header parser (seed corpora always run under test)
 #   make golden      refresh the golden suite digests (healthy, degraded
 #                    and generated) after an intentional behavioral change
 
@@ -155,13 +155,15 @@ chaos-smoke:
 	$(GO) run -race ./cmd/tdnuca-load -clients 8 -jobs 1000 -severity 2 -factor 0.0078125 -out /tmp/tdnuca-load-report.json
 
 # Short fuzzes of the generator's name parser/validator, of the fault
-# scenario parser (Parse/Validate, String round trip) and of the
-# service's job-spec boundary (decode, normalize, address, validate);
-# the seed corpora also run on every plain `go test`.
+# scenario parser (Parse/Validate, String round trip), of the service's
+# job-spec boundary (decode, normalize, address, validate) and of its
+# disk-cache header parser (no panic, framing round trip); the seed
+# corpora also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/workgen -run FuzzParseValidate -fuzz FuzzParseValidate -fuzztime 10s
 	$(GO) test ./internal/faults -run FuzzFaultsParse -fuzz FuzzFaultsParse -fuzztime 10s
 	$(GO) test ./internal/serve -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 10s
+	$(GO) test ./internal/serve -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s
 
 # Refreshes every golden file: the healthy suite (golden_suite.txt), the
 # degraded suite (golden_faults.txt) and the generated differential

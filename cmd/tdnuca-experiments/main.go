@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"tdnuca"
+	"tdnuca/internal/arch"
 	"tdnuca/internal/profiling"
 )
 
@@ -115,7 +116,7 @@ func main() {
 	cfg.Arch.CheckInvariants = *check
 
 	if *mesh != "" {
-		w, h, err := parseMesh(*mesh)
+		w, h, err := arch.ParseMesh(*mesh)
 		fail(err)
 		a := tdnuca.ScaledMeshConfig(w, h)
 		a.NoCContention = cfg.Arch.NoCContention
@@ -232,15 +233,6 @@ func main() {
 		fmt.Println(rep)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// parseMesh decodes a "WxH" topology argument.
-func parseMesh(s string) (int, int, error) {
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		return 0, 0, fmt.Errorf("bad -mesh %q: want WxH, e.g. 8x8", s)
-	}
-	return w, h, nil
 }
 
 // runGenerated executes one generator workload under the core policies

@@ -9,39 +9,21 @@ import (
 	"strings"
 
 	"tdnuca"
+	"tdnuca/internal/harness"
 	"tdnuca/internal/sim"
 )
-
-// policyByName maps the CLI spelling of a policy to its PolicyKind,
-// accepting both the display name ("TD-NUCA") and shorthands ("td").
-func policyByName(name string) (tdnuca.PolicyKind, bool) {
-	switch strings.ToLower(name) {
-	case "", "td", "tdnuca", strings.ToLower(string(tdnuca.TDNUCA)):
-		return tdnuca.TDNUCA, true
-	case "s", "snuca", strings.ToLower(string(tdnuca.SNUCA)):
-		return tdnuca.SNUCA, true
-	case "r", "rnuca", strings.ToLower(string(tdnuca.RNUCA)):
-		return tdnuca.RNUCA, true
-	case "bypass", strings.ToLower(string(tdnuca.TDBypassOnly)):
-		return tdnuca.TDBypassOnly, true
-	case "noisa", strings.ToLower(string(tdnuca.TDNoISA)):
-		return tdnuca.TDNoISA, true
-	}
-	return "", false
-}
 
 // runTraced executes one traced run and writes the Chrome trace plus the
 // interval CSV/JSON time series, then validates what it wrote: the JSON
 // must parse, carry task slices, and the cycle stack must sum exactly to
 // cores times makespan. Any failure exits non-zero.
 func runTraced(cfg tdnuca.ExperimentConfig, spec, out string, interval uint64) {
-	bench := spec
+	bench, name, _ := strings.Cut(spec, ":")
 	kind := tdnuca.TDNUCA
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		bench = spec[:i]
-		k, ok := policyByName(spec[i+1:])
+	if name != "" {
+		k, ok := harness.ParsePolicy(name)
 		if !ok {
-			fail(fmt.Errorf("unknown policy %q in -trace", spec[i+1:]))
+			fail(fmt.Errorf("unknown policy %q in -trace", name))
 		}
 		kind = k
 	}

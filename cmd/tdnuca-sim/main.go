@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"tdnuca"
+	"tdnuca/internal/harness"
 	"tdnuca/internal/profiling"
 )
 
@@ -39,14 +40,6 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-var policies = map[string]tdnuca.PolicyKind{
-	"snuca":         tdnuca.SNUCA,
-	"rnuca":         tdnuca.RNUCA,
-	"tdnuca":        tdnuca.TDNUCA,
-	"tdnuca-bypass": tdnuca.TDBypassOnly,
-	"tdnuca-noisa":  tdnuca.TDNoISA,
-}
-
 // allPolicyOrder is the comparison-table row order for -policy all.
 var allPolicyOrder = []tdnuca.PolicyKind{
 	tdnuca.SNUCA, tdnuca.RNUCA, tdnuca.TDNUCA, tdnuca.TDBypassOnly, tdnuca.TDNoISA,
@@ -55,7 +48,7 @@ var allPolicyOrder = []tdnuca.PolicyKind{
 func main() {
 	var (
 		bench   = flag.String("bench", "LU", "benchmark name (see -list)")
-		pol     = flag.String("policy", "tdnuca", "snuca | rnuca | tdnuca | tdnuca-bypass | tdnuca-noisa | all")
+		pol     = flag.String("policy", "tdnuca", "snuca | rnuca | tdnuca | bypass | noisa (or any alias, any case) | all")
 		factor  = flag.Float64("factor", float64(tdnuca.DefaultWorkloadFactor), "workload memory factor (1.0 = Table II)")
 		seed    = flag.Uint64("seed", 1, "deterministic seed")
 		check   = flag.Bool("check", false, "enable the functional coherence checker")
@@ -87,7 +80,7 @@ func main() {
 		comparePolicies(*bench, cfg, *workers)
 		return
 	}
-	kind, ok := policies[strings.ToLower(*pol)]
+	kind, ok := harness.ParsePolicy(*pol)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "tdnuca-sim: unknown policy %q\n", *pol)
 		exit(2)

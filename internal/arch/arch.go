@@ -7,6 +7,8 @@ package arch
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"tdnuca/internal/amath"
 	"tdnuca/internal/cache"
@@ -213,6 +215,21 @@ func MeshConfig(width, height int) Config {
 	return c
 }
 
+// ParseMesh decodes a "WxH" mesh topology: two unsigned decimal
+// dimensions, each at least 1, joined by a single 'x' or 'X', with
+// nothing else in the string. Its answer renders canonically as
+// fmt.Sprintf("%dx%d", w, h), so "08X8" and "8x8" name one mesh.
+func ParseMesh(s string) (w, h int, err error) {
+	if i := strings.IndexAny(s, "xX"); i >= 0 {
+		wu, werr := strconv.ParseUint(s[:i], 10, 31)
+		hu, herr := strconv.ParseUint(s[i+1:], 10, 31)
+		if werr == nil && herr == nil && wu > 0 && hu > 0 {
+			return int(wu), int(hu), nil
+		}
+	}
+	return 0, 0, fmt.Errorf("arch: mesh must be \"WxH\" with positive decimal dimensions, e.g. 8x8 (got %q)", s)
+}
+
 // ScaledMeshConfig is MeshConfig with ScaledConfig's smaller caches, the
 // right machine for generated-workload sweeps on big meshes: simulation
 // cost stays proportional to the footprint, not to Table I's 2MB banks.
@@ -368,12 +385,6 @@ func (c *Config) BlockOffsetBits() uint { return amath.Log2(c.BlockBytes) }
 
 // PageOffsetBits returns log2(PageBytes).
 func (c *Config) PageOffsetBits() uint { return amath.Log2(c.PageBytes) }
-
-// L1Sets returns the number of sets in each L1 cache.
-func (c *Config) L1Sets() int { return c.L1Bytes / (c.L1Ways * c.BlockBytes) }
-
-// LLCSetsPerBank returns the number of sets in each LLC bank.
-func (c *Config) LLCSetsPerBank() int { return c.LLCBankBytes / (c.LLCWays * c.BlockBytes) }
 
 // LLCTotalBytes returns the aggregate LLC capacity across all banks.
 func (c *Config) LLCTotalBytes() int { return c.LLCBankBytes * c.NumCores }

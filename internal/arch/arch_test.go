@@ -308,3 +308,17 @@ func TestHopLatency(t *testing.T) {
 		t.Errorf("HopLatency(3) = %d, want %d", got, 4*c.RouterLatency+3*c.LinkLatency)
 	}
 }
+
+func TestParseMesh(t *testing.T) {
+	for s, want := range map[string][2]int{"8x8": {8, 8}, "08X8": {8, 8}, "16x1": {16, 1}, "3x007": {3, 7}} {
+		if w, h, err := ParseMesh(s); err != nil || w != want[0] || h != want[1] {
+			t.Errorf("ParseMesh(%q) = %d, %d, %v; want %v", s, w, h, err, want)
+		}
+	}
+	for _, s := range []string{"", "x", "8x", "x8", "8x8junk", "4x4x", "8xx8", "+8x8", " 8x8", "8x8 ", "8x-8",
+		"0x4", "4x0", "4by4", "8×8", "99999999999999999999x1"} {
+		if w, h, err := ParseMesh(s); err == nil {
+			t.Errorf("ParseMesh(%q) = %d, %d; want an error", s, w, h)
+		}
+	}
+}

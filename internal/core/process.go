@@ -97,13 +97,10 @@ func (mg *Manager) MigrateThread(from, to int) sim.Cycles {
 		if de.accessorCores.Has(from) {
 			de.accessorCores = de.accessorCores.Set(to)
 		}
-		if de.kind == mapLocal && de.localCore == from {
-			// The data itself stays in the old bank; the mapping still
-			// points there (the mask in the migrated RRT entries is
-			// unchanged), so reads keep working and the next write
-			// transition relocates it as usual.
-			_ = de
-		}
+		// A dependency pinned to the old core's bank stays there: the
+		// mask in the migrated RRT entries still points at it, so reads
+		// keep working and the next write transition relocates it as
+		// usual.
 	})
 	mg.stats.Invalidates++
 	return cyc

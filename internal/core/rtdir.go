@@ -46,10 +46,6 @@ const (
 	mapCluster                // replicated in the clusters of MapMask
 )
 
-// RegisteredCores returns the cores whose RRTs currently hold this
-// dependency (exposed for tests and tracing).
-func (e *DirEntry) RegisteredCores() arch.Mask { return e.registeredCores }
-
 // RTCacheDirectory is the runtime-side structure tracking the access and
 // reuse patterns of every task dependency.
 type RTCacheDirectory struct {

@@ -15,8 +15,6 @@ import (
 	"tdnuca/internal/energy"
 	"tdnuca/internal/faults"
 	"tdnuca/internal/machine"
-	"tdnuca/internal/policy"
-	"tdnuca/internal/rnuca"
 	"tdnuca/internal/sim"
 	"tdnuca/internal/taskrt"
 	"tdnuca/internal/trace"
@@ -152,21 +150,6 @@ func Run(ctx context.Context, j Job) (Result, error) {
 	return r, identify(j.Bench, j.Kind, err)
 }
 
-// validatePolicy rejects policy/architecture combinations that cannot
-// work: a policy whose placement decisions depend on the RRT needs at
-// least one RRT entry per core (an RRT degraded to zero entries mid-run
-// by a fault is a different thing — the fallback path handles that; a
-// machine *built* without one is a misconfiguration).
-func validatePolicy(kind PolicyKind, a *arch.Config) error {
-	switch kind {
-	case TDNUCA, TDBypassOnly, TDNoISA:
-		if a.RRTEntries <= 0 {
-			return fmt.Errorf("harness: policy %s requires RRTEntries > 0 (got %d)", kind, a.RRTEntries)
-		}
-	}
-	return nil
-}
-
 // resolveSpec looks a benchmark up by name: the Table II set first, then
 // the workload generator's "gen:" scheme (internal/workgen). Every
 // harness entry point resolves through here, so generated workloads flow
@@ -233,31 +216,9 @@ func run(ctx context.Context, j Job) (Result, error) {
 	}
 	m.SetTracer(tr)
 
-	var hooks taskrt.Hooks
-	var mgr *core.Manager
-	var rn *rnuca.RNUCA
-	switch kind {
-	case SNUCA:
-		m.SetPolicy(policy.NewSNUCA())
-	case RNUCA:
-		rn = rnuca.New(m)
-		m.SetPolicy(rn)
-	case TDNUCA:
-		mgr = core.NewManager(m, core.Full)
-		mgr.EagerFlush = cfg.EagerFlush
-		m.SetPolicy(mgr)
-		hooks = mgr
-	case TDBypassOnly:
-		mgr = core.NewManager(m, core.BypassOnly)
-		mgr.EagerFlush = cfg.EagerFlush
-		m.SetPolicy(mgr)
-		hooks = mgr
-	case TDNoISA:
-		mgr = core.NewManager(m, core.NoISA)
-		m.SetPolicy(policy.NewSNUCA())
-		hooks = mgr
-	default:
-		return Result{}, fmt.Errorf("harness: unknown policy %q", kind)
+	hooks, mgr, rn, err := InstallPolicy(kind, m, cfg.EagerFlush)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// Fault injection: the validated scenario is turned into an injector

@@ -59,15 +59,14 @@ func (j Job) validate() error {
 // same error; admission (Validate, RunMany's up-front pass) adds
 // checkBench, which names the error without building the workload.
 func (j Job) check() error {
-	switch j.Kind {
-	case SNUCA, RNUCA, TDNUCA, TDBypassOnly, TDNoISA:
-	default:
-		return fmt.Errorf("harness: unknown policy %q", j.Kind)
+	p, err := lookupPolicy(j.Kind)
+	if err != nil {
+		return err
 	}
 	if err := j.Cfg.Arch.Validate(); err != nil {
 		return identify(j.Bench, j.Kind, err)
 	}
-	if err := validatePolicy(j.Kind, &j.Cfg.Arch); err != nil {
+	if err := p.checkRRT(&j.Cfg.Arch); err != nil {
 		return identify(j.Bench, j.Kind, err)
 	}
 	if j.Faults != nil {

@@ -28,9 +28,6 @@ func (m *Machine) AddProcess() int {
 	return p.ID
 }
 
-// Processes returns how many processes exist.
-func (m *Machine) Processes() int { return len(m.procs) }
-
 // Process returns the process with the given id.
 func (m *Machine) Process(pid int) *Process {
 	if pid < 0 || pid >= len(m.procs) {
@@ -38,9 +35,6 @@ func (m *Machine) Process(pid int) *Process {
 	}
 	return m.procs[pid]
 }
-
-// ProcOf returns the process id currently bound to the core.
-func (m *Machine) ProcOf(core int) int { return m.coreProc[core] }
 
 // BindCore assigns a core to a process (a context switch): the core's
 // TLB is flushed and subsequent accesses translate through the process's

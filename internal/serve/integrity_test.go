@@ -368,3 +368,26 @@ func TestDecodePayloadRoundTrip(t *testing.T) {
 		t.Error("encoded payload does not lead with the schema header")
 	}
 }
+
+// FuzzDecodePayload fuzzes the disk-cache header parser, which reads
+// whatever a crash or a bad medium left on disk: any input may be
+// rejected but none may panic, and any payload must survive its own
+// framing byte for byte.
+func FuzzDecodePayload(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte("no newline"))
+	f.Add(encodePayload([]byte(`{"a":1}`)))
+	f.Add([]byte(cacheSchema + " 0000000000000000 -1\n"))
+	f.Add([]byte(cacheSchema + " zz 99999999999999999999\nx"))
+	f.Add(bytes.Repeat([]byte("\n\x00\xff"), 100))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, _ = decodePayload(b)
+		got, err := decodePayload(encodePayload(b))
+		if err != nil {
+			t.Fatalf("round trip %q: %v", b, err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("round trip %q = %q", b, got)
+		}
+	})
+}

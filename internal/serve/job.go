@@ -36,11 +36,13 @@ type JobSpec struct {
 	// spec (internal/workgen syntax).
 	Bench string `json:"bench"`
 	// Policy is a PolicyKind name ("S-NUCA", "R-NUCA", "TD-NUCA",
-	// "TD-NUCA (Bypass Only)", "TD-NUCA (runtime only)") or one of the
-	// short aliases snuca, rnuca, tdnuca, bypass, noisa.
+	// "TD-NUCA (Bypass Only)", "TD-NUCA (runtime only)") or any spelling
+	// harness.ParsePolicy accepts (s, rnuca, td-nuca, bypass, noisa, ...);
+	// normalize stores the display name.
 	Policy string `json:"policy"`
-	// Mesh is "WxH" ("4x4" default). Non-default meshes use the scaled
-	// cache hierarchy (arch.ScaledMeshConfig), like the sweep CLIs.
+	// Mesh is "WxH" ("4x4" default; arch.ParseMesh syntax), stored in
+	// canonical "%dx%d" form. Non-default meshes use the scaled cache
+	// hierarchy (arch.ScaledMeshConfig), like the sweep CLIs.
 	Mesh string `json:"mesh,omitempty"`
 	// Factor scales the workload footprint (0 = the default 1/32).
 	Factor float64 `json:"factor,omitempty"`
@@ -66,23 +68,6 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// policyAliases maps accepted policy spellings to canonical kinds.
-func policyKind(name string) (harness.PolicyKind, bool) {
-	switch name {
-	case string(harness.SNUCA), "snuca", "s-nuca":
-		return harness.SNUCA, true
-	case string(harness.RNUCA), "rnuca", "r-nuca":
-		return harness.RNUCA, true
-	case string(harness.TDNUCA), "tdnuca", "td-nuca":
-		return harness.TDNUCA, true
-	case string(harness.TDBypassOnly), "bypass", "td-bypass":
-		return harness.TDBypassOnly, true
-	case string(harness.TDNoISA), "noisa", "td-noisa":
-		return harness.TDNoISA, true
-	}
-	return "", false
-}
-
 // normalize fills defaults in place and canonicalizes spellings, so the
 // content address is independent of how the client spelled the job.
 // It returns the first validation problem as a client error.
@@ -90,7 +75,7 @@ func (j *JobSpec) normalize() error {
 	if j.Bench == "" {
 		return fmt.Errorf("bench is required")
 	}
-	kind, ok := policyKind(j.Policy)
+	kind, ok := harness.ParsePolicy(j.Policy)
 	if !ok {
 		return fmt.Errorf("unknown policy %q", j.Policy)
 	}
@@ -98,9 +83,11 @@ func (j *JobSpec) normalize() error {
 	if j.Mesh == "" {
 		j.Mesh = "4x4"
 	}
-	if _, _, err := parseMesh(j.Mesh); err != nil {
+	w, h, err := arch.ParseMesh(j.Mesh)
+	if err != nil {
 		return err
 	}
+	j.Mesh = fmt.Sprintf("%dx%d", w, h)
 	if j.Factor == 0 {
 		j.Factor = float64(workloads.DefaultFactor)
 	}
@@ -127,13 +114,6 @@ func (j *JobSpec) normalize() error {
 		}
 	}
 	return nil
-}
-
-func parseMesh(s string) (w, h int, err error) {
-	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || w < 1 || h < 1 {
-		return 0, 0, fmt.Errorf("mesh must be \"WxH\" with positive dimensions (got %q)", s)
-	}
-	return w, h, nil
 }
 
 // FNV-1a, the digest discipline of the whole repo (harness.Result.Digest
@@ -206,7 +186,7 @@ func (j JobSpec) ID() string { return fmt.Sprintf("%016x", j.Address()) }
 func (j JobSpec) job() (harness.Job, error) {
 	cfg := harness.DefaultConfig()
 	if j.Mesh != "4x4" {
-		w, h, err := parseMesh(j.Mesh)
+		w, h, err := arch.ParseMesh(j.Mesh)
 		if err != nil {
 			return harness.Job{}, err
 		}
@@ -217,8 +197,7 @@ func (j JobSpec) job() (harness.Job, error) {
 	cfg.Seed = j.Seed
 	cfg.FragEvery = j.fragEvery()
 	cfg.RT.MaxCycles = sim.Cycles(j.MaxCycles)
-	kind, _ := policyKind(j.Policy) // normalize has already vetted it
-	job := harness.Job{Bench: j.Bench, Kind: kind, Cfg: cfg}
+	job := harness.Job{Bench: j.Bench, Kind: harness.PolicyKind(j.Policy), Cfg: cfg}
 	if j.Faults != "" {
 		sc, err := faults.Parse(j.Faults)
 		if err != nil {

@@ -88,3 +88,27 @@ func FuzzJobSpec(f *testing.F) {
 		}
 	})
 }
+
+// TestSpellingsShareID: every spelling of one simulation normalizes to
+// one content address — mesh dimensions in any decimal form or 'x'
+// case, and the policy under any of its aliases in any letter case.
+func TestSpellingsShareID(t *testing.T) {
+	id := func(spec JobSpec) string {
+		t.Helper()
+		if err := spec.normalize(); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		return spec.ID()
+	}
+	want := id(JobSpec{Bench: "LU", Policy: "S-NUCA", Mesh: "8x8", Factor: testFactor})
+	for _, mesh := range []string{"08x8", "8X8", "008x08"} {
+		if got := id(JobSpec{Bench: "LU", Policy: "S-NUCA", Mesh: mesh, Factor: testFactor}); got != want {
+			t.Errorf("mesh %q: id %s, want 8x8's %s", mesh, got, want)
+		}
+	}
+	for _, pol := range []string{"s", "SNUCA", "s-NUCA"} {
+		if got := id(JobSpec{Bench: "LU", Policy: pol, Mesh: "8x8", Factor: testFactor}); got != want {
+			t.Errorf("policy %q: id %s, want S-NUCA's %s", pol, got, want)
+		}
+	}
+}

@@ -335,7 +335,10 @@ func TestInvalidSpecRejected(t *testing.T) {
 		"bench":  {Bench: "nope", Policy: "snuca"},
 		"policy": {Bench: "MD5", Policy: "bogus"},
 		"mesh":   {Bench: "MD5", Policy: "snuca", Mesh: "4by4"},
-		"faults": {Bench: "MD5", Policy: "snuca", Faults: "gibberish"},
+		// Input after the height is an error, never ignored.
+		"mesh trailing junk": {Bench: "MD5", Policy: "snuca", Mesh: "8x8junk"},
+		"mesh trailing x":    {Bench: "MD5", Policy: "snuca", Mesh: "4x4x"},
+		"faults":             {Bench: "MD5", Policy: "snuca", Faults: "gibberish"},
 		// Core -2 is out of range; it must not normalize to every core.
 		"fault core": {Bench: "MD5", Policy: "tdnuca", Faults: "rrt=-2:4@0"},
 		"combo":      {Bench: "MD5", Policy: "snuca", Faults: "bank=3@1000", Trace: true},

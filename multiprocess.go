@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tdnuca/internal/core"
-	"tdnuca/internal/machine"
 	"tdnuca/internal/taskrt"
 )
 
@@ -20,15 +19,7 @@ import (
 // sc.Policy selects TDNUCA (default) or SNUCA — the latter leaves every
 // process address-interleaved across all banks, the contended baseline.
 func NewSpaceSharedSystems(sc SystemConfig, coreSets [][]int) ([]*System, error) {
-	cfg := ScaledConfig()
-	if sc.Arch != nil {
-		cfg = *sc.Arch
-	}
-	seed := sc.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	m, err := machine.New(&cfg, sc.FragEvery, seed)
+	m, opts, err := sc.newMachine()
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +33,7 @@ func NewSpaceSharedSystems(sc SystemConfig, coreSets [][]int) ([]*System, error)
 			return nil, fmt.Errorf("tdnuca: process %d has no cores", i)
 		}
 		for _, c := range cores {
-			if c < 0 || c >= cfg.NumCores {
+			if c < 0 || c >= m.Cfg.NumCores {
 				return nil, fmt.Errorf("tdnuca: process %d: core %d out of range", i, c)
 			}
 			if seen[c] {
@@ -68,13 +59,9 @@ func NewSpaceSharedSystems(sc SystemConfig, coreSets [][]int) ([]*System, error)
 			m.BindCore(c, pid)
 		}
 
-		opts := taskrt.DefaultOptions()
-		if sc.Runtime != nil {
-			opts = *sc.Runtime
-		}
 		opts.Cores = cores
 		systems = append(systems, &System{
-			cfg:     cfg,
+			cfg:     *m.Cfg,
 			m:       m,
 			rt:      taskrt.New(m, hooks, opts),
 			manager: mgr,

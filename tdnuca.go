@@ -18,16 +18,12 @@
 package tdnuca
 
 import (
-	"fmt"
-
 	"tdnuca/internal/amath"
 	"tdnuca/internal/arch"
 	"tdnuca/internal/core"
 	"tdnuca/internal/energy"
 	"tdnuca/internal/harness"
 	"tdnuca/internal/machine"
-	"tdnuca/internal/policy"
-	"tdnuca/internal/rnuca"
 	"tdnuca/internal/sim"
 	"tdnuca/internal/taskrt"
 )
@@ -146,6 +142,26 @@ type SystemConfig struct {
 	Custom func(m *Machine) CustomPolicy
 }
 
+// newMachine builds the machine sc describes, with its zero-value
+// fields defaulted, and returns it with the runtime options every
+// runtime on it starts from.
+func (sc SystemConfig) newMachine() (*machine.Machine, RuntimeOptions, error) {
+	cfg := ScaledConfig()
+	if sc.Arch != nil {
+		cfg = *sc.Arch
+	}
+	seed := sc.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	opts := taskrt.DefaultOptions()
+	if sc.Runtime != nil {
+		opts = *sc.Runtime
+	}
+	m, err := machine.New(&cfg, sc.FragEvery, seed)
+	return m, opts, err
+}
+
 // System is a ready-to-use simulated machine plus task runtime under one
 // NUCA policy. It is not safe for concurrent use.
 type System struct {
@@ -153,76 +169,29 @@ type System struct {
 	m       *machine.Machine
 	rt      *taskrt.Runtime
 	manager *core.Manager // nil unless a TD-NUCA variant
-	rn      *rnuca.RNUCA  // nil unless R-NUCA
 	kind    PolicyKind
 }
 
-// NewSystem builds a system with the given configuration.
+// NewSystem builds a system with the given configuration. A TD-NUCA
+// variant needs a machine with RRT entries.
 func NewSystem(sc SystemConfig) (*System, error) {
-	cfg := ScaledConfig()
-	if sc.Arch != nil {
-		cfg = *sc.Arch
-	}
-	kind := sc.Policy
-	if kind == "" {
-		kind = TDNUCA
-	}
-	seed := sc.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	// Policy-dependent configuration check: arch.Validate cannot know
-	// which policy will run, but a TD-NUCA variant without a region table
-	// cannot make a single placement decision.
-	if sc.Custom == nil {
-		switch kind {
-		case TDNUCA, TDBypassOnly, TDNoISA:
-			if cfg.RRTEntries <= 0 {
-				return nil, fmt.Errorf("tdnuca: policy %s requires RRTEntries > 0 (got %d)", kind, cfg.RRTEntries)
-			}
-		}
-	}
-	m, err := machine.New(&cfg, sc.FragEvery, seed)
+	m, opts, err := sc.newMachine()
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, m: m, kind: kind}
+	s := &System{cfg: *m.Cfg, m: m, kind: sc.Policy}
 	var hooks taskrt.Hooks
 	if sc.Custom != nil {
 		p := sc.Custom(m)
 		m.SetPolicy(p)
 		s.kind = PolicyKind(p.Name())
-		opts := taskrt.DefaultOptions()
-		if sc.Runtime != nil {
-			opts = *sc.Runtime
+	} else {
+		if s.kind == "" {
+			s.kind = TDNUCA
 		}
-		s.rt = taskrt.New(m, nil, opts)
-		return s, nil
-	}
-	switch kind {
-	case SNUCA:
-		m.SetPolicy(policy.NewSNUCA())
-	case RNUCA:
-		s.rn = rnuca.New(m)
-		m.SetPolicy(s.rn)
-	case TDNUCA:
-		s.manager = core.NewManager(m, core.Full)
-		m.SetPolicy(s.manager)
-		hooks = s.manager
-	case TDBypassOnly:
-		s.manager = core.NewManager(m, core.BypassOnly)
-		m.SetPolicy(s.manager)
-		hooks = s.manager
-	case TDNoISA:
-		s.manager = core.NewManager(m, core.NoISA)
-		m.SetPolicy(policy.NewSNUCA())
-		hooks = s.manager
-	default:
-		return nil, fmt.Errorf("tdnuca: unknown policy %q", kind)
-	}
-	opts := taskrt.DefaultOptions()
-	if sc.Runtime != nil {
-		opts = *sc.Runtime
+		if hooks, s.manager, _, err = harness.InstallPolicy(s.kind, m, false); err != nil {
+			return nil, err
+		}
 	}
 	s.rt = taskrt.New(m, hooks, opts)
 	return s, nil
