@@ -158,14 +158,14 @@ func TestInjectorAppliesDueEvents(t *testing.T) {
 	if !m.RetiredBanks().Has(3) {
 		t.Error("bank 3 not retired at its scheduled cycle")
 	}
-	if m.Net.Faulty() {
+	if len(m.Net.DeadLinks()) > 0 {
 		t.Error("link failed before its scheduled cycle")
 	}
 	if cyc := inj.Advance(5000); cyc < arch.FaultLinkFailCycles {
 		t.Errorf("Advance(5000) charged %d, want at least the link-fail cost %d",
 			cyc, arch.FaultLinkFailCycles)
 	}
-	if !m.Net.Faulty() || !inj.Exhausted() {
+	if len(m.Net.DeadLinks()) == 0 || !inj.Exhausted() {
 		t.Error("link failure not applied")
 	}
 	st := inj.Stats()

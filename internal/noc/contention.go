@@ -74,8 +74,8 @@ func (n *Network) QueueingCycles() sim.Cycles { return n.queued }
 // comparing products, so only the band between them divides; a link
 // busy for its whole horizon charges the cap. The products stay far
 // below 2^64 (busy and horizon are simulated cycles, occ a few cycles),
-// and serve is kept small enough for the compiler to inline into the
-// walks.
+// and serve is kept small enough for the compiler to inline into
+// sendAt's walk.
 func (l *linkState) serve(now, occ sim.Cycles) (delay sim.Cycles) {
 	if l.busy > 0 {
 		delay = occ * maxQueueFactor
@@ -119,41 +119,34 @@ func (n *Network) SendDataAt(from, to int, now sim.Cycles) (int, sim.Cycles) {
 }
 
 // sendAt is the walk shared by the SendAt family for a message that
-// holds each link for occ cycles. The healthy XY walk steps like Send's:
-// at most one X loop and one Y loop runs.
+// holds each link for occ cycles. It follows the hop table, and checks
+// for a partition, like Send.
 func (n *Network) sendAt(from, to, bytes int, now, occ sim.Cycles) (hops int, latency sim.Cycles) {
 	if !n.contention {
 		h, lat := n.Send(from, to, bytes)
 		return h, sim.Cycles(lat)
 	}
 	n.messages++
-	if n.faulty {
-		return n.sendFaultyAt(from, to, bytes, now, occ)
+	row := to * len(n.dead)
+	if n.hop[row+from] == noHop && from != to {
+		n.unreachable(from, to)
 	}
-	src, dst, w := n.xy[from], n.xy[to], n.cfg.MeshWidth
 	t := now
-	cur := from
-	for x := src.x; x < dst.x; x++ {
-		t = n.cross(cur, East, bytes, t, occ)
-		cur++
+	for cur := from; cur != to; hops++ {
+		// Each hop: the router of cur, queueing on the outgoing link,
+		// then serialization onto it.
+		dir := n.hop[row+cur] & 3 // always < 4 on a route; the mask drops bounds checks
+		n.linkBytes[cur][dir] += uint64(bytes)
+		t += sim.Cycles(n.cfg.RouterLatency)
+		delay := n.links[cur][dir].serve(t, occ)
+		n.queued += delay
+		t += delay + occ
+		cur += n.step[dir]
 	}
-	for x := src.x; x > dst.x; x-- {
-		t = n.cross(cur, West, bytes, t, occ)
-		cur--
-	}
-	for y := src.y; y < dst.y; y++ {
-		t = n.cross(cur, South, bytes, t, occ)
-		cur += w
-	}
-	for y := src.y; y > dst.y; y-- {
-		t = n.cross(cur, North, bytes, t, occ)
-		cur -= w
-	}
-	hops = abs(dst.x-src.x) + abs(dst.y-src.y)
 	if hops > 0 {
 		// Ejection router at the destination: HopLatency and Send charge
 		// h+1 routers for an h-hop message, and so must the contention
-		// path (cross charges only the h upstream routers).
+		// path (the loop charges only the h upstream routers).
 		t += sim.Cycles(n.cfg.RouterLatency)
 		n.flitHops += uint64(hops) + 1
 	}
@@ -162,15 +155,4 @@ func (n *Network) sendAt(from, to, bytes int, now, occ sim.Cycles) (hops int, la
 		n.tr.Emit(trace.EvNoCMsg, now, from, uint64(bytes)*uint64(hops), int32(to))
 	}
 	return hops, t - now
-}
-
-// cross moves a message entering the router of tile cur at cycle t over
-// the link leaving it in direction dir: router traversal, queueing and
-// serialization. It returns the cycle the message reaches the next tile.
-func (n *Network) cross(cur, dir, bytes int, t, occ sim.Cycles) sim.Cycles {
-	n.linkBytes[cur][dir] += uint64(bytes)
-	t += sim.Cycles(n.cfg.RouterLatency)
-	delay := n.links[cur][dir].serve(t, occ)
-	n.queued += delay
-	return t + delay + occ
 }

@@ -293,28 +293,43 @@ func TestServeMatchesExactDelay(t *testing.T) {
 }
 
 // BenchmarkSendAtContended times the contended walk on warm links:
-// control and data messages alternate over every ordered tile pair.
+// control and data messages alternate over every ordered tile pair, on
+// a healthy mesh and with the center link 5-6 dead (the detours walk the
+// same hop-table loop).
 func BenchmarkSendAtContended(b *testing.B) {
-	cfg := arch.DefaultConfig()
-	n := New(&cfg)
-	n.EnableContention(cfg.LinkBandwidthBytes)
-	tiles := cfg.NumCores
-	now := sim.Cycles(0)
-	send := func(i int) {
-		from, to := i%tiles, (i/tiles)%tiles
-		if i%2 == 0 {
-			n.SendCtrlAt(from, to, now)
-		} else {
-			n.SendDataAt(from, to, now)
+	for _, dead := range [][]int{nil, {5, 6}} {
+		name := "healthy"
+		if dead != nil {
+			name = "dead-link"
 		}
-		now += 4
-	}
-	for i := 0; i < 4*tiles*tiles; i++ {
-		send(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send(i)
+		b.Run(name, func(b *testing.B) {
+			cfg := arch.DefaultConfig()
+			n := New(&cfg)
+			n.EnableContention(cfg.LinkBandwidthBytes)
+			if dead != nil {
+				if err := n.FailLink(dead[0], dead[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tiles := cfg.NumCores
+			now := sim.Cycles(0)
+			send := func(i int) {
+				from, to := i%tiles, (i/tiles)%tiles
+				if i%2 == 0 {
+					n.SendCtrlAt(from, to, now)
+				} else {
+					n.SendDataAt(from, to, now)
+				}
+				now += 4
+			}
+			for i := 0; i < 4*tiles*tiles; i++ {
+				send(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send(i)
+			}
+		})
 	}
 }

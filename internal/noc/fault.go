@@ -2,25 +2,27 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
-	"tdnuca/internal/sim"
 	"tdnuca/internal/trace"
 )
 
-// Link-failure support. A healthy network routes with the inlined XY walk
-// in Send/SendAt — that fast path is untouched (and byte-identical) until
-// the first FailLink call flips the network into faulty mode. From then
-// on every message walks precomputed per-destination next-hop tables:
-// minimal-hop routes over the surviving links, breaking ties in the fixed
-// direction order East, West, North, South. That order prefers X-dimension
-// moves exactly like XY routing, so a route that dodges a dead link
-// rejoins the XY path as soon as the detour allows, and the whole table
-// is a pure function of the dead-link set — deterministic by construction
-// (TestFaultRouteProperties pins this).
+// Routing and link failure. Every message follows the hop table that
+// rebuildRoutes computes with one BFS per destination over the live
+// links: minimal-hop routes, breaking ties in the fixed direction order
+// East, West, North, South. That order prefers X-dimension moves, so on
+// a healthy mesh the table is exactly dimension-ordered XY routing, and a
+// route that dodges a dead link rejoins the XY path as soon as the
+// detour allows. The table is a pure function of the dead-link set —
+// deterministic by construction (TestFaultRouteProperties pins this) —
+// and it never routes over a dead link, because the BFS only crosses
+// live ones.
+
+// noHop marks a hop-table entry with no next hop: the tile is the
+// destination, or the dead links cut it off from the destination.
+const noHop = 0xff
 
 // FailLink kills the bidirectional mesh link between two adjacent tiles
-// and rebuilds the routing tables around it. It returns an error when the
+// and rebuilds the hop table around it. It returns an error when the
 // tiles are not mesh neighbours or the link is already dead. Killing
 // links can partition the mesh; that is detected (and panics with a
 // diagnostic) only when a message actually needs the missing route, so a
@@ -29,74 +31,51 @@ func (n *Network) FailLink(a, b int) error {
 	if a < 0 || a >= n.cfg.NumCores || b < 0 || b >= n.cfg.NumCores {
 		return fmt.Errorf("noc: link %d-%d out of range [0,%d)", a, b, n.cfg.NumCores)
 	}
-	if !n.adjacent(a, b) {
+	dir := n.linkDir(a, b)
+	if dir < 0 {
 		return fmt.Errorf("noc: tiles %d and %d are not adjacent, no link to fail", a, b)
 	}
-	if n.faulty && n.dead[a][n.direction(a, b)] {
+	if n.dead[a][dir] {
 		return fmt.Errorf("noc: link %d-%d already failed", a, b)
 	}
-	if n.dead == nil {
-		n.dead = make([][4]bool, n.cfg.NumCores)
-	}
-	n.dead[a][n.direction(a, b)] = true
-	n.dead[b][n.direction(b, a)] = true
-	n.faulty = true
+	n.dead[a][dir] = true
+	n.dead[b][dir^1] = true
 	n.rebuildRoutes()
 	if n.tr != nil {
-		n.tr.EmitUntimed(trace.EvLinkFail, a, uint64(b), int32(n.direction(a, b)))
+		n.tr.EmitUntimed(trace.EvLinkFail, a, uint64(b), int32(dir))
 	}
 	return nil
 }
 
-// Faulty reports whether any link has failed (table-routed mode).
-func (n *Network) Faulty() bool { return n.faulty }
-
-// LinkDead reports whether the directed link leaving the tile in the
-// given direction has failed.
-func (n *Network) LinkDead(tile, dir int) bool {
-	return n.faulty && n.dead[tile][dir]
-}
-
 // DeadLinks returns the failed links as sorted (lower, higher) tile
-// pairs, one entry per bidirectional link.
+// pairs, one entry per bidirectional link. Tiles ascend and each tile's
+// East neighbour (tile+1) precedes its South one (tile+MeshWidth), so
+// the pairs come out sorted.
 func (n *Network) DeadLinks() [][2]int {
-	if !n.faulty {
-		return nil
-	}
 	var out [][2]int
 	for tile := range n.dead {
 		for dir := 0; dir < 4; dir++ {
 			if !n.dead[tile][dir] {
 				continue
 			}
-			other := n.neighbor(tile, dir)
-			if tile < other {
+			if other := n.neighbor(tile, dir); tile < other {
 				//tdnuca:allow(alloc) diagnostic-only: reached from the hot path only while building an unreachable-tile panic message
 				out = append(out, [2]int{tile, other})
 			}
 		}
 	}
-	//tdnuca:allow(alloc) diagnostic-only: reached from the hot path only while building an unreachable-tile panic message
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
-func (n *Network) adjacent(a, b int) bool {
-	fx, fy := n.cfg.TileX(a), n.cfg.TileY(a)
-	tx, ty := n.cfg.TileX(b), n.cfg.TileY(b)
-	dx, dy := tx-fx, ty-fy
-	if dx < 0 {
-		dx = -dx
+// linkDir returns the direction of the link from tile a to tile b, or
+// -1 when they are not mesh neighbours.
+func (n *Network) linkDir(a, b int) int {
+	for dir := 0; dir < 4; dir++ {
+		if n.neighbor(a, dir) == b {
+			return dir
+		}
 	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx+dy == 1
+	return -1
 }
 
 // neighbor returns the tile one hop away in the direction, or -1 when the
@@ -119,135 +98,52 @@ func (n *Network) neighbor(tile, dir int) int {
 	return n.cfg.TileAt(x, y)
 }
 
-// rebuildRoutes recomputes the per-destination next-hop tables with one
-// BFS per destination over the surviving links. next[dst][tile] is the
-// tile to move to from `tile` toward `dst` (-1 = unreachable). Among
-// equally short next hops the fixed East, West, North, South order wins,
-// which keeps routes on the XY path wherever the dead links permit.
+// rebuildRoutes recomputes the hop table with one BFS per destination
+// over the live links (dead links are symmetric, so a tile's live
+// neighbours are also the tiles that can send into it). A tile's entry
+// is set when the BFS dequeues it at distance d: every tile at distance
+// d-1 is known by then, and the first direction in East, West, North,
+// South order that leads to one of them wins.
 func (n *Network) rebuildRoutes() {
 	cores := n.cfg.NumCores
-	if n.next == nil {
-		n.next = make([][]int16, cores)
-		for i := range n.next {
-			n.next[i] = make([]int16, cores)
+	live := make([][4]int, cores)
+	for tile := range live {
+		for dir := 0; dir < 4; dir++ {
+			live[tile][dir] = -1
+			if !n.dead[tile][dir] {
+				live[tile][dir] = n.neighbor(tile, dir)
+			}
 		}
 	}
 	dist := make([]int, cores)
-	queue := make([]int, 0, cores)
-	for dst := 0; dst < cores; dst++ {
+	queue := make([]int, cores)
+	for to := 0; to < cores; to++ {
+		row := n.hop[to*cores : (to+1)*cores]
 		for i := range dist {
 			dist[i] = -1
+			row[i] = noHop
 		}
-		dist[dst] = 0
-		queue = append(queue[:0], dst)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			// Explore neighbours that can send INTO cur over a live link.
-			for dir := 0; dir < 4; dir++ {
-				nb := n.neighbor(cur, dir)
-				if nb < 0 || dist[nb] >= 0 || n.dead[nb][n.direction(nb, cur)] {
-					continue
+		dist[to] = 0
+		queue[0] = to
+		for head, tail := 0, 1; head < tail; head++ {
+			cur := queue[head]
+			for dir, nb := range live[cur] {
+				switch {
+				case nb < 0:
+				case dist[nb] < 0:
+					dist[nb] = dist[cur] + 1
+					queue[tail] = nb
+					tail++
+				case row[cur] == noHop && dist[nb] == dist[cur]-1:
+					row[cur] = uint8(dir)
 				}
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
 			}
 		}
-		for tile := 0; tile < cores; tile++ {
-			if tile == dst || dist[tile] < 0 {
-				n.next[dst][tile] = -1
-				continue
-			}
-			hop := -1
-			for dir := 0; dir < 4; dir++ {
-				nb := n.neighbor(tile, dir)
-				if nb < 0 || n.dead[tile][dir] || dist[nb] < 0 || dist[nb] != dist[tile]-1 {
-					continue
-				}
-				hop = nb
-				break
-			}
-			n.next[dst][tile] = int16(hop)
-		}
 	}
 }
 
-// nextHop returns the table-routed next tile from cur toward dst,
-// panicking with a diagnostic when the dead links cut dst off.
-func (n *Network) nextHop(cur, dst int) int {
-	hop := int(n.next[dst][cur])
-	if hop < 0 {
-		//tdnuca:allow(alloc) panic path: allocates only when the mesh is partitioned, immediately before aborting the run
-		panic(fmt.Sprintf("noc: tile %d unreachable from %d with dead links %v", dst, cur, n.DeadLinks()))
-	}
-	return hop
-}
-
-// sendFaulty is Send's table-routed slow path: identical accounting
-// (per-link bytes, byte-hops, the h+1-routers flit rule) over the
-// fault-aware route.
-func (n *Network) sendFaulty(from, to, bytes int) (hops, latency int) {
-	cur := from
-	for cur != to {
-		nxt := n.nextHop(cur, to)
-		dir := n.direction(cur, nxt)
-		if n.dead[cur][dir] {
-			//tdnuca:allow(alloc) panic path: allocates only on a broken routing table, immediately before aborting the run
-			panic(fmt.Sprintf("noc: route %d->%d crossed dead link %d-%d", from, to, cur, nxt))
-		}
-		n.linkBytes[cur][dir] += uint64(bytes)
-		cur = nxt
-		hops++
-	}
-	n.byteHops += uint64(bytes) * uint64(hops)
-	if hops > 0 {
-		n.flitHops += uint64(hops) + 1
-	}
-	if n.tr != nil {
-		n.tr.EmitUntimed(trace.EvNoCMsg, from, uint64(bytes)*uint64(hops), int32(to))
-	}
-	return hops, n.cfg.HopLatency(hops)
-}
-
-// sendFaultyAt is SendAt's table-routed slow path: the same contention
-// accounting as the XY walk (router, queueing, serialization per hop,
-// plus the ejection router), over the fault-aware route.
-func (n *Network) sendFaultyAt(from, to, bytes int, now, occ sim.Cycles) (hops int, latency sim.Cycles) {
-	t := now
-	cur := from
-	for cur != to {
-		nxt := n.nextHop(cur, to)
-		dir := n.direction(cur, nxt)
-		if n.dead[cur][dir] {
-			//tdnuca:allow(alloc) panic path: allocates only on a broken routing table, immediately before aborting the run
-			panic(fmt.Sprintf("noc: route %d->%d crossed dead link %d-%d", from, to, cur, nxt))
-		}
-		n.linkBytes[cur][dir] += uint64(bytes)
-		t += sim.Cycles(n.cfg.RouterLatency)
-		delay := n.links[cur][dir].serve(t, occ)
-		n.queued += delay
-		t += delay + occ
-		cur = nxt
-		hops++
-	}
-	if hops > 0 {
-		t += sim.Cycles(n.cfg.RouterLatency)
-		n.flitHops += uint64(hops) + 1
-	}
-	n.byteHops += uint64(bytes) * uint64(hops)
-	if n.tr != nil {
-		n.tr.Emit(trace.EvNoCMsg, now, from, uint64(bytes)*uint64(hops), int32(to))
-	}
-	return hops, t - now
-}
-
-// routeFaulty reconstructs the table-routed path for Route.
-func (n *Network) routeFaulty(from, to int) []int {
-	path := []int{from}
-	cur := from
-	for cur != to {
-		cur = n.nextHop(cur, to)
-		path = append(path, cur)
-	}
-	return path
+// unreachable aborts a send that the dead links have partitioned away.
+func (n *Network) unreachable(from, to int) {
+	//tdnuca:allow(alloc) panic path: allocates only when the mesh is partitioned, immediately before aborting the run
+	panic(fmt.Sprintf("noc: tile %d unreachable from %d with dead links %v", to, from, n.DeadLinks()))
 }

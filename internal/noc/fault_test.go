@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,8 +12,8 @@ import (
 
 func TestFailLinkValidation(t *testing.T) {
 	n, cfg := mesh(t)
-	if n.Faulty() {
-		t.Fatal("fresh network already faulty")
+	if len(n.DeadLinks()) > 0 {
+		t.Fatal("fresh network already has dead links")
 	}
 	if err := n.FailLink(-1, 0); err == nil {
 		t.Error("out-of-range tile accepted")
@@ -26,16 +27,21 @@ func TestFailLinkValidation(t *testing.T) {
 	if err := n.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Faulty() {
-		t.Error("network not faulty after FailLink")
-	}
 	if err := n.FailLink(1, 0); err == nil || !strings.Contains(err.Error(), "already failed") {
 		t.Errorf("double failure: %v", err)
 	}
 	if got := n.DeadLinks(); len(got) != 1 || got[0] != [2]int{0, 1} {
 		t.Errorf("DeadLinks = %v, want [[0 1]]", got)
 	}
-	if !n.LinkDead(0, East) || !n.LinkDead(1, West) {
+	for _, l := range [][2]int{{2, 1}, {4, 0}} {
+		if err := n.FailLink(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := n.DeadLinks(), [][2]int{{0, 1}, {0, 4}, {1, 2}}; !slices.Equal(got, want) {
+		t.Errorf("DeadLinks = %v, want sorted %v", got, want)
+	}
+	if !n.dead[0][East] || !n.dead[1][West] {
 		t.Error("directed dead flags not symmetric")
 	}
 }
@@ -70,11 +76,11 @@ func TestFaultRouteProperties(t *testing.T) {
 		rng2 := sim.NewRNG(seed)
 		failSafeLinks(t, b, &cfg, rng2)
 		if rows == 0 {
-			return !a.Faulty()
+			return len(a.DeadLinks()) == 0
 		}
 		for from := 0; from < cfg.NumCores; from++ {
 			for to := 0; to < cfg.NumCores; to++ {
-				p := a.Route(from, to)
+				p := route(a, from, to)
 				if p[0] != from || p[len(p)-1] != to {
 					return false
 				}
@@ -85,11 +91,11 @@ func TestFaultRouteProperties(t *testing.T) {
 					if cfg.Hops(p[i-1], p[i]) != 1 {
 						return false // non-adjacent step
 					}
-					if a.LinkDead(p[i-1], a.direction(p[i-1], p[i])) {
+					if a.dead[p[i-1]][a.linkDir(p[i-1], p[i])] {
 						return false // crossed a dead link
 					}
 				}
-				q := b.Route(from, to)
+				q := route(b, from, to)
 				if len(q) != len(p) {
 					return false // not deterministic
 				}
@@ -109,16 +115,15 @@ func TestFaultRouteProperties(t *testing.T) {
 
 // TestFaultRouteMatchesXYWhenPossible: routes that never needed the dead
 // link are unchanged — the table's East,West,North,South preference
-// reproduces XY routing wherever it can.
+// reproduces the reference XY route wherever it can.
 func TestFaultRouteMatchesXYWhenPossible(t *testing.T) {
 	n, cfg := mesh(t)
-	healthy := New(cfg)
 	if err := n.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for from := 0; from < cfg.NumCores; from++ {
 		for to := 0; to < cfg.NumCores; to++ {
-			want := healthy.Route(from, to)
+			want := xyRoute(cfg, from, to)
 			crosses := false
 			for i := 1; i < len(want); i++ {
 				if (want[i-1] == 0 && want[i] == 1) || (want[i-1] == 1 && want[i] == 0) {
@@ -128,14 +133,8 @@ func TestFaultRouteMatchesXYWhenPossible(t *testing.T) {
 			if crosses {
 				continue
 			}
-			got := n.Route(from, to)
-			if len(got) != len(want) {
-				t.Fatalf("Route(%d,%d) = %v, want XY %v", from, to, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("Route(%d,%d) = %v, want XY %v", from, to, got, want)
-				}
+			if got := route(n, from, to); !slices.Equal(got, want) {
+				t.Fatalf("route(%d,%d) = %v, want XY %v", from, to, got, want)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ func bfsDist(n *Network, cfg *arch.Config, src int) []int {
 		queue = queue[1:]
 		for dir := 0; dir < 4; dir++ {
 			nb := n.neighbor(cur, dir)
-			if nb < 0 || dist[nb] >= 0 || n.LinkDead(cur, dir) {
+			if nb < 0 || dist[nb] >= 0 || n.dead[cur][dir] {
 				continue
 			}
 			dist[nb] = dist[cur] + 1
@@ -42,7 +42,7 @@ func TestBigMeshHealthyRouting(t *testing.T) {
 		n := New(&cfg)
 		f := func(a, b uint16) bool {
 			from, to := int(a)%cfg.NumCores, int(b)%cfg.NumCores
-			p := n.Route(from, to)
+			p := route(n, from, to)
 			if len(p)-1 != cfg.Hops(from, to) {
 				return false
 			}
@@ -70,7 +70,7 @@ func TestBigMeshFaultRoutesAreShortest(t *testing.T) {
 			rows := failSafeLinks(t, a, &cfg, rng)
 			failSafeLinks(t, b, &cfg, sim.NewRNG(seed))
 			if rows == 0 {
-				return !a.Faulty()
+				return len(a.DeadLinks()) == 0
 			}
 			// Sampled sources keep 16x16 (65k pairs x destinations) cheap;
 			// the seeded picks still cover the mesh across quick iterations.
@@ -78,7 +78,7 @@ func TestBigMeshFaultRoutesAreShortest(t *testing.T) {
 				from := rng.Intn(cfg.NumCores)
 				dist := bfsDist(a, &cfg, from)
 				for to := 0; to < cfg.NumCores; to++ {
-					p := a.Route(from, to)
+					p := route(a, from, to)
 					if p[0] != from || p[len(p)-1] != to {
 						return false
 					}
@@ -89,11 +89,11 @@ func TestBigMeshFaultRoutesAreShortest(t *testing.T) {
 						if cfg.Hops(p[i-1], p[i]) != 1 {
 							return false
 						}
-						if a.LinkDead(p[i-1], a.direction(p[i-1], p[i])) {
+						if a.dead[p[i-1]][a.linkDir(p[i-1], p[i])] {
 							return false
 						}
 					}
-					q := b.Route(from, to)
+					q := route(b, from, to)
 					if len(q) != len(p) {
 						return false
 					}
@@ -125,7 +125,7 @@ func TestBigMeshFaultSendMatchesRoute(t *testing.T) {
 		}
 	}
 	from, to := cfg.TileAt(3, 3), cfg.TileAt(4, 3)
-	p := n.Route(from, to)
+	p := route(n, from, to)
 	if len(p)-1 <= cfg.Hops(from, to) {
 		t.Fatalf("route %v did not detour around the dead wall", p)
 	}

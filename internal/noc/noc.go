@@ -1,14 +1,12 @@
 // Package noc models the 2D-mesh network-on-chip of the tiled CMP:
-// dimension-ordered (XY) routing, router+link latency (Table I: 1 cycle
-// each; an h-hop message crosses h+1 routers and h links), per-link byte
-// counters, and the aggregate data-movement metric of Fig. 12 (bytes
-// transferred through all routers, computed as payload bytes times hops
-// traversed).
+// dimension-ordered (XY) routing over a hop table, router+link latency
+// (Table I: 1 cycle each; an h-hop message crosses h+1 routers and h
+// links), per-link byte counters, and the aggregate data-movement metric
+// of Fig. 12 (bytes transferred through all routers, computed as payload
+// bytes times hops traversed).
 package noc
 
 import (
-	"fmt"
-
 	"tdnuca/internal/arch"
 	"tdnuca/internal/sim"
 	"tdnuca/internal/trace"
@@ -21,9 +19,10 @@ import (
 type Network struct {
 	cfg *arch.Config
 
-	// xy[tile] is the tile's mesh column and row, so the healthy XY
-	// walks step from tile to tile by ±1 and ±MeshWidth without dividing.
-	xy []coord
+	// hop[to*NumCores+cur] is the direction a message at tile cur takes
+	// toward tile to, or noHop when cur is to or cannot reach it (see
+	// fault.go).
+	hop []uint8
 
 	// linkBytes counts payload bytes crossing each directed link.
 	// Links are indexed by (fromTile, direction).
@@ -44,11 +43,13 @@ type Network struct {
 	links      [][4]linkState
 	queued     sim.Cycles
 
-	// Link-failure state (see fault.go). faulty stays false until the
-	// first FailLink, so healthy runs never leave the inlined XY paths.
-	faulty bool
-	dead   [][4]bool
-	next   [][]int16 // next[dst][tile]: next hop toward dst, -1 unreachable
+	// step[dir] is the tile-number offset of one hop in direction dir,
+	// so the walks never divide.
+	step [4]int
+
+	// dead[tile][dir] marks a failed directed link; failures are always
+	// symmetric.
+	dead [][4]bool
 
 	// tr, when non-nil, receives one EvNoCMsg per routed message
 	// (observation only; never alters routing or latency).
@@ -59,7 +60,8 @@ type Network struct {
 // observation-only: it never changes a counter or a latency.
 func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 
-// Directions of mesh links, used to index per-link counters.
+// Directions of mesh links, used to index per-link counters. A
+// direction's reverse is dir^1.
 const (
 	East = iota
 	West
@@ -67,82 +69,40 @@ const (
 	South
 )
 
-// coord is a tile's position in the mesh.
-type coord struct{ x, y int }
-
-// New constructs the mesh for the given architecture.
+// New constructs the mesh for the given architecture, with every link
+// alive.
 func New(cfg *arch.Config) *Network {
-	xy := make([]coord, cfg.NumCores)
-	for tile := range xy {
-		xy[tile] = coord{cfg.TileX(tile), cfg.TileY(tile)}
-	}
-	return &Network{
+	w := cfg.MeshWidth
+	n := &Network{
 		cfg:       cfg,
-		xy:        xy,
+		hop:       make([]uint8, cfg.NumCores*cfg.NumCores),
+		step:      [4]int{East: 1, West: -1, North: -w, South: w},
+		dead:      make([][4]bool, cfg.NumCores),
 		linkBytes: make([][4]uint64, cfg.NumCores),
 	}
-}
-
-// Route returns the XY-routed path from one tile to another as the
-// sequence of tiles traversed, including both endpoints. XY routing moves
-// along the X dimension first, then Y, and is deadlock-free on a mesh.
-func (n *Network) Route(from, to int) []int {
-	if n.faulty {
-		return n.routeFaulty(from, to)
-	}
-	path := []int{from}
-	src, dst, w := n.xy[from], n.xy[to], n.cfg.MeshWidth
-	cur := from
-	for x := src.x; x < dst.x; x++ {
-		cur++
-		path = append(path, cur)
-	}
-	for x := src.x; x > dst.x; x-- {
-		cur--
-		path = append(path, cur)
-	}
-	for y := src.y; y < dst.y; y++ {
-		cur += w
-		path = append(path, cur)
-	}
-	for y := src.y; y > dst.y; y-- {
-		cur -= w
-		path = append(path, cur)
-	}
-	return path
+	n.rebuildRoutes()
+	return n
 }
 
 // Send accounts for a message of the given payload size travelling from
 // one tile to another and returns the number of hops and the NoC latency
 // in cycles. A message to the local tile takes zero hops and zero cycles.
-// The XY walk is inlined (allocation-free) because Send sits on the
-// simulator's hottest path; Route exists for tests and tooling. At most
-// one of the two X loops and one of the two Y loops runs.
+// The walk follows the hop table and allocates nothing: Send sits on the
+// simulator's hottest path. A partitioned-off destination is caught by
+// one check at the source, because every tile on a minimal path to `to`
+// reaches it too.
 func (n *Network) Send(from, to, bytes int) (hops, latency int) {
 	n.messages++
-	if n.faulty {
-		return n.sendFaulty(from, to, bytes)
+	row := to * len(n.dead) // the hop-table row toward `to` (len(n.dead) is NumCores)
+	if n.hop[row+from] == noHop && from != to {
+		n.unreachable(from, to)
 	}
-	src, dst, w := n.xy[from], n.xy[to], n.cfg.MeshWidth
 	b := uint64(bytes)
-	cur := from
-	for x := src.x; x < dst.x; x++ {
-		n.linkBytes[cur][East] += b
-		cur++
+	for cur := from; cur != to; hops++ {
+		dir := n.hop[row+cur] & 3 // always < 4 on a route; the mask drops bounds checks
+		n.linkBytes[cur][dir] += b
+		cur += n.step[dir]
 	}
-	for x := src.x; x > dst.x; x-- {
-		n.linkBytes[cur][West] += b
-		cur--
-	}
-	for y := src.y; y < dst.y; y++ {
-		n.linkBytes[cur][South] += b
-		cur += w
-	}
-	for y := src.y; y > dst.y; y-- {
-		n.linkBytes[cur][North] += b
-		cur -= w
-	}
-	hops = abs(dst.x-src.x) + abs(dst.y-src.y)
 	n.byteHops += b * uint64(hops)
 	if hops > 0 {
 		n.flitHops += uint64(hops) + 1
@@ -151,13 +111,6 @@ func (n *Network) Send(from, to, bytes int) (hops, latency int) {
 		n.tr.EmitUntimed(trace.EvNoCMsg, from, b*uint64(hops), int32(to))
 	}
 	return hops, n.cfg.HopLatency(hops)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // SendCtrl accounts for a control message (request, invalidation, ack) of
@@ -173,23 +126,6 @@ func (n *Network) SendData(from, to int) (hops, latency int) {
 	n.dataMsgs++
 	n.dataBytes += uint64(n.cfg.BlockBytes)
 	return n.Send(from, to, n.cfg.BlockBytes+n.cfg.DataHdrBytes)
-}
-
-func (n *Network) direction(from, to int) int {
-	fx, fy := n.cfg.TileX(from), n.cfg.TileY(from)
-	tx, ty := n.cfg.TileX(to), n.cfg.TileY(to)
-	switch {
-	case tx == fx+1 && ty == fy:
-		return East
-	case tx == fx-1 && ty == fy:
-		return West
-	case ty == fy-1 && tx == fx:
-		return North
-	case ty == fy+1 && tx == fx:
-		return South
-	}
-	//tdnuca:allow(alloc) panic path: allocates only on a non-adjacent hop, immediately before aborting the run
-	panic(fmt.Sprintf("noc: tiles %d and %d are not adjacent", from, to))
 }
 
 // ByteHops returns the aggregate payload bytes times hops traversed: the

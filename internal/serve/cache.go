@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -167,40 +168,31 @@ func payloadSum(payload []byte) uint64 {
 // encodePayload frames a payload for disk: a one-line header carrying
 // the schema, checksum and byte count, then the raw payload verbatim.
 func encodePayload(payload []byte) []byte {
-	header := fmt.Sprintf("%s %016x %d\n", cacheSchema, payloadSum(payload), len(payload))
+	header := payloadHeader(payload)
 	out := make([]byte, 0, len(header)+len(payload))
 	out = append(out, header...)
 	return append(out, payload...)
 }
 
-// decodePayload parses and verifies a framed payload file. Any
-// deviation — unknown schema, short or long body, checksum mismatch —
-// is corruption.
+// payloadHeader is the header line encodePayload writes for a payload.
+func payloadHeader(payload []byte) string {
+	return fmt.Sprintf("%s %016x %d\n", cacheSchema, payloadSum(payload), len(payload))
+}
+
+// decodePayload parses and verifies a framed payload file: everything
+// after the first newline is the payload, and the header line must be
+// byte for byte the one encodePayload writes for it. Any deviation —
+// unknown schema, short or long body, checksum mismatch, a reformatted
+// or extended header — is corruption.
 func decodePayload(b []byte) ([]byte, error) {
-	nl := -1
-	for i, ch := range b {
-		if ch == '\n' {
-			nl = i
-			break
-		}
-	}
+	nl := bytes.IndexByte(b, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("no header line")
 	}
-	var schema, sumHex string
-	var n int
-	if _, err := fmt.Sscanf(string(b[:nl]), "%s %s %d", &schema, &sumHex, &n); err != nil {
-		return nil, fmt.Errorf("malformed header %q", b[:nl])
-	}
-	if schema != cacheSchema {
-		return nil, fmt.Errorf("unknown schema %q", schema)
-	}
-	payload := b[nl+1:]
-	if len(payload) != n {
-		return nil, fmt.Errorf("payload is %d bytes, header says %d (truncated?)", len(payload), n)
-	}
-	if got := fmt.Sprintf("%016x", payloadSum(payload)); got != sumHex {
-		return nil, fmt.Errorf("checksum %s != header %s (bit rot?)", got, sumHex)
+	header, payload := b[:nl+1], b[nl+1:]
+	if want := payloadHeader(payload); string(header) != want {
+		return nil, fmt.Errorf("header %q, want %q for the %d-byte payload (truncated, bit rot or tampering?)",
+			header[:nl], want[:len(want)-1], len(payload))
 	}
 	return payload, nil
 }

@@ -127,6 +127,9 @@ func TestCacheHeaderTamperQuarantined(t *testing.T) {
 		"wrong-schema":  func(b []byte) []byte { return append([]byte("bogus/v9 0000000000000000 3\nabc"), nil...) },
 		"length-lies":   func(b []byte) []byte { return bytes.Replace(b, []byte(" 47\n"), []byte(" 9999\n"), 1) },
 		"extra-garbage": func(b []byte) []byte { return append(b, []byte("trailing junk")...) },
+		"header-trailing-text": func(b []byte) []byte {
+			return bytes.Replace(b, []byte(" 47\n"), []byte(" 47 junk\n"), 1)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			sub := t.TempDir()
@@ -371,8 +374,9 @@ func TestDecodePayloadRoundTrip(t *testing.T) {
 
 // FuzzDecodePayload fuzzes the disk-cache header parser, which reads
 // whatever a crash or a bad medium left on disk: any input may be
-// rejected but none may panic, and any payload must survive its own
-// framing byte for byte.
+// rejected but none may panic, an accepted input must be exactly the
+// framing of what it decodes to (so no header variant slips through),
+// and any payload must survive its own framing byte for byte.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("no newline"))
@@ -380,8 +384,12 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte(cacheSchema + " 0000000000000000 -1\n"))
 	f.Add([]byte(cacheSchema + " zz 99999999999999999999\nx"))
 	f.Add(bytes.Repeat([]byte("\n\x00\xff"), 100))
+	f.Add(bytes.Replace(encodePayload([]byte("abc")), []byte(" 3\n"), []byte(" 3 junk\n"), 1))
+	f.Add(bytes.Replace(encodePayload([]byte("abc")), []byte(" 3\n"), []byte(" +3\n"), 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _ = decodePayload(b)
+		if p, err := decodePayload(b); err == nil && !bytes.Equal(encodePayload(p), b) {
+			t.Fatalf("accepted %q, which re-encodes as %q", b, encodePayload(p))
+		}
 		got, err := decodePayload(encodePayload(b))
 		if err != nil {
 			t.Fatalf("round trip %q: %v", b, err)

@@ -18,7 +18,14 @@ import (
 // Each core set must be non-empty and the sets must be disjoint.
 // sc.Policy selects TDNUCA (default) or SNUCA — the latter leaves every
 // process address-interleaved across all banks, the contended baseline.
+// Any other policy, and a Custom one, is an error.
 func NewSpaceSharedSystems(sc SystemConfig, coreSets [][]int) ([]*System, error) {
+	if sc.Custom != nil {
+		return nil, fmt.Errorf("tdnuca: space-shared systems run only %s or %s, not a custom policy", TDNUCA, SNUCA)
+	}
+	if sc.Policy != "" && sc.Policy != TDNUCA && sc.Policy != SNUCA {
+		return nil, fmt.Errorf("tdnuca: space-shared systems run only %s or %s, not %q", TDNUCA, SNUCA, sc.Policy)
+	}
 	m, opts, err := sc.newMachine()
 	if err != nil {
 		return nil, err

@@ -27,6 +27,27 @@ func TestNewSystemRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestSpaceSharedPolicies: space sharing builds TD-NUCA or S-NUCA
+// processes only; every other policy is refused rather than silently
+// run as TD-NUCA.
+func TestSpaceSharedPolicies(t *testing.T) {
+	cores := [][]int{{0, 1}, {2, 3}}
+	for _, p := range []tdnuca.PolicyKind{"", tdnuca.TDNUCA, tdnuca.SNUCA} {
+		if _, err := tdnuca.NewSpaceSharedSystems(tdnuca.SystemConfig{Policy: p}, cores); err != nil {
+			t.Errorf("policy %q: %v", p, err)
+		}
+	}
+	for _, p := range []tdnuca.PolicyKind{tdnuca.RNUCA, tdnuca.TDNoISA, tdnuca.TDBypassOnly, "bogus"} {
+		if _, err := tdnuca.NewSpaceSharedSystems(tdnuca.SystemConfig{Policy: p}, cores); err == nil {
+			t.Errorf("policy %q accepted", p)
+		}
+	}
+	custom := tdnuca.SystemConfig{Custom: func(*tdnuca.Machine) tdnuca.CustomPolicy { return fixedBank{} }}
+	if _, err := tdnuca.NewSpaceSharedSystems(custom, cores); err == nil {
+		t.Error("custom policy accepted")
+	}
+}
+
 func TestSystemTaskFlow(t *testing.T) {
 	cfg := tdnuca.ScaledConfig()
 	cfg.CheckInvariants = true
