@@ -2,7 +2,8 @@
 #
 #   make ci          everything a PR must pass: build, vet, lint, tests,
 #                    race, one-iteration benchmark smoke, the bench/
-#                    module's smoke test
+#                    module's smoke test, and the trace, faults,
+#                    generator and service smokes
 #   make lint        gofmt check + go vet + tdnuca-lint, the repo's own
 #                    static-analysis suite (determinism / hot-path
 #                    allocation / units; DESIGN.md §9)
@@ -31,25 +32,20 @@
 #   make serve-smoke the experiment service's raced package tests:
 #                    byte-identical cache hits, concurrent duplicate
 #                    submissions coalescing to one simulation, drain and
-#                    SIGTERM (DESIGN.md §14); the concurrent-client soak
-#                    against direct runs is chaos-smoke's tdnuca-load
-#   make chaos-smoke the chaos-hardened stack (DESIGN.md §15): raced
-#                    cache-integrity, fault-injection and retrying-client
-#                    tests, then the tdnuca-load soak — 8 clients x 1000
-#                    jobs through seeded severity-2 chaos, asserting
-#                    exactly-once simulation, byte fidelity against
-#                    direct runs, quarantine of corrupted cache entries
-#                    and a leak-free drain
+#                    SIGTERM, served digests equal to direct runs under
+#                    concurrent clients, and corrupt cache entries never
+#                    served (DESIGN.md §14, §15)
 #   make fuzz-smoke  short fuzzes of the workload-generator name parser
 #                    and validator, of the -faults scenario parser, of
-#                    the service's job-spec boundary and of its disk-cache
-#                    header parser (seed corpora always run under test)
+#                    the service's job-spec boundary, of its disk-cache
+#                    header parser and of the client's ndjson stream
+#                    consumer (seed corpora always run under test)
 #   make golden      refresh the golden suite digests (healthy, degraded
 #                    and generated) after an intentional behavioral change
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-timing bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke fuzz-smoke golden ci
+.PHONY: build test race vet fmt-check lint lint-timing bench-quick bench-smoke bench-ab trace-smoke faults-smoke gen-smoke serve-smoke fuzz-smoke golden ci
 
 build:
 	$(GO) build ./...
@@ -64,7 +60,7 @@ test:
 # include the degraded (fault-injected) parallel suite, so mid-run
 # reconfiguration is raced too.
 race:
-	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/serve ./internal/chaos ./internal/client
+	$(GO) test -race -timeout 3600s ./internal/harness ./internal/machine ./internal/taskrt ./internal/serve ./internal/client
 
 vet:
 	$(GO) vet ./...
@@ -134,36 +130,31 @@ gen-smoke:
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -check -factor 0.0078125
 	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
-# The experiment-service layer (DESIGN.md §14): raced package tests for
-# byte-identical cache hits, coalescing of concurrent duplicate
-# submissions, and the drain / SIGTERM paths. Digest fidelity against
-# direct harness runs and the leak-free drain under concurrent clients
-# are tdnuca-load's invariants, run by chaos-smoke.
+# The experiment-service layer (DESIGN.md §14, §15): raced package tests
+# for byte-identical cache hits, coalescing of concurrent duplicate
+# submissions, the drain / SIGTERM paths, four concurrent clients whose
+# served digests must equal direct harness runs (exactly-once
+# simulation, byte identity, leak-free drain), and the corruption drill
+# (a bit-flipped cache entry is quarantined and re-simulated, an
+# undamaged one still disk-hits).
 serve-smoke:
-	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate'
-
-# The chaos-hardened stack (DESIGN.md §15): raced integrity / chaos /
-# client packages (the corruption, stream-resume and idempotent-
-# resubmission tests), then the full soak — 8 concurrent retrying
-# clients push 1000 jobs through a seeded severity-2 fault-injecting
-# transport and a corruption drill over the disk cache, exiting
-# non-zero if any invariant (exactly-once simulation, byte fidelity,
-# quarantine, leak-free drain) is violated.
-chaos-smoke:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/client
-	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheCorrupt|TestCacheHeaderTamper|TestCacheIndexRebuilt|TestCacheFlushIncludesEvicted|TestCorruptEntryNeverServed'
-	$(GO) run -race ./cmd/tdnuca-load -clients 8 -jobs 1000 -severity 2 -factor 0.0078125 -out /tmp/tdnuca-load-report.json
+	$(GO) test -race -count=1 ./internal/serve -run 'TestCacheHit|TestDrain|TestSIGTERM|TestConcurrentDuplicate|TestServedDigestsMatchDirectRuns|TestCorruptEntryNeverServed'
 
 # Short fuzzes of the generator's name parser/validator, of the fault
 # scenario parser (Parse/Validate, String round trip), of the service's
-# job-spec boundary (decode, normalize, address, validate) and of its
-# disk-cache header parser (no panic, framing round trip); the seed
-# corpora also run on every plain `go test`.
+# job-spec boundary (decode, normalize, address, validate), of its
+# disk-cache header parser (no panic, framing round trip) and of the
+# client's ndjson stream consumer (no panic, success exactly when done);
+# the seed corpora also run on every plain `go test`. The stream seeds
+# are real server streams of up to ~20 KB, and the default minimization
+# of one new input (up to 60s) would use the whole fuzz budget, so that
+# target caps it at 100 runs.
 fuzz-smoke:
 	$(GO) test ./internal/workgen -run FuzzParseValidate -fuzz FuzzParseValidate -fuzztime 10s
 	$(GO) test ./internal/faults -run FuzzFaultsParse -fuzz FuzzFaultsParse -fuzztime 10s
 	$(GO) test ./internal/serve -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 10s
 	$(GO) test ./internal/serve -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s
+	$(GO) test ./internal/client -run FuzzAwaitStream -fuzz FuzzAwaitStream -fuzztime 10s -fuzzminimizetime 100x
 
 # Refreshes every golden file: the healthy suite (golden_suite.txt), the
 # degraded suite (golden_faults.txt) and the generated differential
@@ -171,4 +162,4 @@ fuzz-smoke:
 golden:
 	$(GO) test ./internal/harness -run 'Golden|TestGeneratedGoldenDigests' -update
 
-ci: build lint lint-timing test race bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke chaos-smoke
+ci: build lint lint-timing test race bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke

@@ -6,8 +6,10 @@
 //
 // On SIGTERM/SIGINT the server stops admitting, finishes (or, once the
 // grace period expires, cancels) in-flight jobs, flushes the cache
-// index and exits. The concurrent-client load test of the service is
-// cmd/tdnuca-load.
+// index and exits. The service's contract (exactly one simulation per
+// content address, served digests equal to direct harness runs,
+// corrupt cache entries never served, a leak-free drain) is held by the
+// internal/serve package tests.
 package main
 
 import (

@@ -41,8 +41,7 @@ type Config struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8321".
 	BaseURL string
 	// HTTP is the underlying client; nil means a plain &http.Client{}.
-	// Wrap its Transport (e.g. with chaos.NewTransport) to test fault
-	// paths.
+	// Wrap its Transport to test fault paths.
 	HTTP *http.Client
 	// RequestTimeout bounds each non-stream request (default 30s).
 	// Streams are bounded by the caller's context instead: a healthy
@@ -90,7 +89,7 @@ func (c Config) withDefaults() Config {
 // wrapping that preserves the final cause.
 var ErrAttemptsExhausted = errors.New("client: attempts exhausted")
 
-// Counters is a snapshot of the client's behavior, for soak reports.
+// Counters is a snapshot of the client's behavior.
 type Counters struct {
 	Requests        uint64 `json:"requests"`          // HTTP requests issued (streams count once per (re)connect)
 	Retries         uint64 `json:"retries"`           // re-issues after a retryable failure
@@ -216,8 +215,8 @@ func apiError(status int, body []byte) error {
 
 // do runs one request with the full retry loop and returns the final
 // status and body. A nil error means a non-retryable (or successful)
-// status was reached; the caller still checks the status. isPost marks
-// resubmissions in the counters.
+// status was reached; the caller still checks the status. A retried
+// POST also counts as a resubmission.
 func (c *Client) do(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -351,6 +350,9 @@ func (c *Client) Await(ctx context.Context, id string) (serve.StatusView, error)
 		}
 		view, terminal, err := c.streamOnce(ctx, id)
 		if terminal {
+			if err != nil {
+				return view, err
+			}
 			if view.Status == serve.StatusFailed || view.Status == serve.StatusCanceled {
 				if view.Error != nil {
 					return view, view.Error
@@ -375,7 +377,8 @@ func (c *Client) Await(ctx context.Context, id string) (serve.StatusView, error)
 
 // streamOnce consumes one stream connection. terminal reports whether a
 // terminal line (result/error, or a terminal status) was reached; if
-// not, err says why the stream died early.
+// not, err says why the stream died early. A terminal non-nil err is a
+// non-retryable HTTP status such as 404: the answer, not a job state.
 func (c *Client) streamOnce(ctx context.Context, id string) (view serve.StatusView, terminal bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
@@ -410,7 +413,7 @@ func (c *Client) streamOnce(ctx context.Context, id string) (view serve.StatusVi
 		}
 		if derr := dec.Decode(&line); derr != nil {
 			// io.EOF here means the server closed without a terminal line
-			// (draining, chaos): still a resume case.
+			// (a drain, a dropped connection): still a resume case.
 			return view, false, fmt.Errorf("client: stream %s broke: %w", id, derr)
 		}
 		switch line.Type {
@@ -483,7 +486,7 @@ type RunResult struct {
 
 // Run drives one job end to end: submit (idempotently retried), await
 // the terminal state (stream, resumed on disconnect), fetch the
-// payload. The one-shot entry point the soak harness hammers.
+// payload.
 func (c *Client) Run(ctx context.Context, spec serve.JobSpec) (RunResult, error) {
 	view, err := c.Submit(ctx, spec)
 	if err != nil {

@@ -11,10 +11,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
-	"tdnuca/internal/chaos"
 	"tdnuca/internal/harness"
 	"tdnuca/internal/serve"
 	"tdnuca/internal/workloads"
@@ -64,18 +64,18 @@ func (s *scriptRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return s.next.RoundTrip(req)
 }
 
-func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
-	t.Helper()
+func startServer(tb testing.TB, cfg serve.Config) (*serve.Server, *httptest.Server) {
+	tb.Helper()
 	s, err := serve.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Start(context.Background())
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		ts.Close()
 		if err := s.Drain(context.Background()); err != nil {
-			t.Errorf("drain: %v", err)
+			tb.Errorf("drain: %v", err)
 		}
 	})
 	return s, ts
@@ -354,27 +354,86 @@ func TestContextCancellationStopsRetrying(t *testing.T) {
 	}
 }
 
-// TestRunThroughChaos is the package's end-to-end proof: a realistic
-// chaotic network (severity 3: 5xxs, resets both directions,
-// truncations, latency) between the client and a real server, and the
-// client still lands every job exactly once with the right bytes.
-func TestRunThroughChaos(t *testing.T) {
-	srv, ts := startServer(t, serve.Config{Workers: 2, QueueCap: 64})
-	cfg := chaos.LadderAt(1234, 3)
-	cfg.Sleep = func(time.Duration) {} // latency faults: decide deterministically, wait not at all
-	ct, err := chaos.NewTransport(ts.Client().Transport, cfg)
-	if err != nil {
-		t.Fatal(err)
+// fault is one entry of flakyRT's schedule.
+type fault string
+
+const (
+	pass           fault = "pass"
+	unavailable    fault = "503"              // synthetic; the request never reaches the server
+	resetAfterSend fault = "reset-after-send" // the server handles the request, the response is lost
+	truncate       fault = "truncate"         // the response body ends early
+)
+
+// flakyRT sits between the client and a real server and applies a
+// fixed, cyclic fault schedule to the requests it sees, counting each
+// fault it injects. Truncation applies to result fetches only, so it
+// fires on the exact bytes Result must validate.
+type flakyRT struct {
+	next http.RoundTripper
+
+	mu       sync.Mutex
+	n        int
+	injected map[fault]int
+}
+
+// flakySchedule interleaves every fault with clean requests, so each
+// retry loop gets through within a few attempts.
+var flakySchedule = []fault{pass, unavailable, pass, resetAfterSend, truncate}
+
+func (f *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	kind := flakySchedule[f.n%len(flakySchedule)]
+	f.n++
+	if kind == truncate && !strings.HasSuffix(req.URL.Path, "/result") {
+		kind = pass
 	}
+	if kind != pass {
+		f.injected[kind]++
+	}
+	f.mu.Unlock()
+
+	if kind == unavailable {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return &http.Response{
+			StatusCode: http.StatusServiceUnavailable,
+			Header:     http.Header{},
+			Body:       io.NopCloser(strings.NewReader(`{"error":{"kind":"unavailable","message":"injected"}}`)),
+			Request:    req,
+		}, nil
+	}
+	resp, err := f.next.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case resetAfterSend:
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("flaky transport: %w", syscall.ECONNRESET)
+	case truncate:
+		resp.Body = &cutBody{rc: resp.Body, remain: 32}
+	}
+	return resp, nil
+}
+
+// TestRunThroughFlakyTransport is the package's end-to-end proof: 503s,
+// resets after the server saw the request, and truncated result bodies
+// between the client and a real server, and the client still lands
+// every job exactly once with the right bytes.
+func TestRunThroughFlakyTransport(t *testing.T) {
+	srv, ts := startServer(t, serve.Config{Workers: 2, QueueCap: 64})
+	rt := &flakyRT{next: ts.Client().Transport, injected: map[fault]int{}}
 	rec := &recorder{}
-	c := New(Config{BaseURL: ts.URL, HTTP: &http.Client{Transport: ct}, Sleep: rec.sleep, Seed: 99, MaxAttempts: 20})
+	c := New(Config{BaseURL: ts.URL, HTTP: &http.Client{Transport: rt}, Sleep: rec.sleep, Seed: 99, MaxAttempts: 20})
 
 	var specs []serve.JobSpec
 	for _, bench := range workloads.Names()[:4] {
 		specs = append(specs, serve.JobSpec{Bench: bench, Policy: "tdnuca", Factor: testFactor})
 	}
 	ids := make(map[string]bool)
-	for round := 0; round < 3; round++ { // repeats: cache hits under chaos too
+	for round := 0; round < 3; round++ { // repeats: cache hits through the faults too
 		for _, spec := range specs {
 			res, err := c.Run(context.Background(), spec)
 			if err != nil {
@@ -392,10 +451,12 @@ func TestRunThroughChaos(t *testing.T) {
 	}
 	snap := srv.Snapshot()
 	if snap.Completed != uint64(len(specs)) {
-		t.Errorf("completed = %d, want exactly %d despite chaos", snap.Completed, len(specs))
+		t.Errorf("completed = %d, want exactly %d despite the faults", snap.Completed, len(specs))
 	}
-	if inj := ct.Counters(); inj.Injected() == 0 {
-		t.Errorf("chaos injected nothing (%+v); the test proved nothing", inj)
+	for _, kind := range []fault{unavailable, resetAfterSend, truncate} {
+		if rt.injected[kind] == 0 {
+			t.Errorf("fault %s never fired (%v); the test proved nothing about it", kind, rt.injected)
+		}
 	}
 
 	// Fidelity: digests match direct harness runs.
@@ -418,6 +479,86 @@ func TestRunThroughChaos(t *testing.T) {
 			t.Errorf("%s: served digest %s != direct %s", spec.Bench, p.Digest, want)
 		}
 	}
+}
+
+// TestAwaitUnknownJobFails: a stream for an id the server does not
+// know is a 404, which Await must report, not turn into a success.
+func TestAwaitUnknownJobFails(t *testing.T) {
+	_, ts := startServer(t, serve.Config{Workers: 1})
+	rec := &recorder{}
+	c := New(Config{BaseURL: ts.URL, Sleep: rec.sleep})
+	view, err := c.Await(context.Background(), "00000000deadbeef")
+	var apiErr *serve.APIError
+	if !errors.As(err, &apiErr) || apiErr.Kind != "unknown_job" {
+		t.Fatalf("await = %+v / %v, want an unknown_job APIError", view, err)
+	}
+	if len(rec.all()) != 0 {
+		t.Errorf("client retried a 404: %v", rec.all())
+	}
+}
+
+// rawStream fetches a finished job's ndjson stream bytes from a live
+// server.
+func rawStream(tb testing.TB, c *Client, ts *httptest.Server, spec serve.JobSpec) []byte {
+	tb.Helper()
+	view, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.Await(context.Background(), view.ID) // failed jobs stream too
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/stream")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzAwaitStream feeds arbitrary bytes to Await as a stream body. Await
+// must never panic, and it reports success exactly when it reports a
+// done job. The seeds are real server streams: a done job, a traced
+// job with sample lines, a budget-failed job and a truncated stream.
+func FuzzAwaitStream(f *testing.F) {
+	_, ts := startServer(f, serve.Config{Workers: 1})
+	c := New(Config{BaseURL: ts.URL})
+	done := rawStream(f, c, ts, serve.JobSpec{Bench: "MD5", Policy: "snuca", Factor: testFactor})
+	traced := rawStream(f, c, ts, serve.JobSpec{Bench: "MD5", Policy: "tdnuca", Factor: testFactor, Trace: true})
+	failed := rawStream(f, c, ts, serve.JobSpec{Bench: "LU", Policy: "snuca", Factor: testFactor, MaxCycles: 1})
+	for _, seed := range []struct {
+		body []byte
+		line string
+	}{{done, `"type":"result"`}, {traced, `"type":"sample"`}, {failed, `"type":"error"`}} {
+		if !bytes.Contains(seed.body, []byte(seed.line)) {
+			f.Fatalf("seed stream has no %s line:\n%s", seed.line, seed.body)
+		}
+		f.Add(seed.body)
+	}
+	f.Add(done[:len(done)/2])
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			return &http.Response{
+				StatusCode: http.StatusOK,
+				Header:     http.Header{"Content-Type": {"application/x-ndjson"}},
+				Body:       io.NopCloser(bytes.NewReader(body)),
+				Request:    req,
+			}, nil
+		})
+		c := New(Config{
+			BaseURL:     "http://stream.invalid",
+			HTTP:        &http.Client{Transport: rt},
+			MaxAttempts: 2,
+			Sleep:       func(context.Context, time.Duration) error { return nil },
+		})
+		view, err := c.Await(context.Background(), "00000000000000aa")
+		if (err == nil) != (view.Status == serve.StatusDone) {
+			t.Fatalf("await = status %q, err %v: success must mean done", view.Status, err)
+		}
+	})
 }
 
 func TestResultValidatesPayloadIdentity(t *testing.T) {

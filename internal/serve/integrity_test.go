@@ -296,10 +296,12 @@ func TestCacheConcurrentGetPut(t *testing.T) {
 // corrupt a payload on disk under a live cache dir, restart the server,
 // resubmit — the job must be re-simulated (one new completion, correct
 // digest), the corrupt bytes must never reach the client, and the stats
-// must report the quarantine.
+// must report the quarantine. A second entry cached alongside it but not
+// damaged must still be a disk hit on the restarted server.
 func TestCorruptEntryNeverServedEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{Bench: "MD5", Policy: "snuca", Factor: testFactor}
+	healthy := JobSpec{Bench: "Jacobi", Policy: "tdnuca", Factor: testFactor}
 
 	s1, ts1 := startServer(t, Config{Workers: 1, CacheDir: dir})
 	_, v1, apiErr := submit(t, ts1, spec)
@@ -308,6 +310,12 @@ func TestCorruptEntryNeverServedEndToEnd(t *testing.T) {
 	}
 	streamUntilTerminal(t, ts1, v1.ID)
 	_, payload1 := getResult(t, ts1, v1.ID)
+	_, vh, apiErr := submit(t, ts1, healthy)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	streamUntilTerminal(t, ts1, vh.ID)
+	_, healthyPayload := getResult(t, ts1, vh.ID)
 	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +344,19 @@ func TestCorruptEntryNeverServedEndToEnd(t *testing.T) {
 	if !bytes.Equal(payload1, payload2) {
 		t.Error("re-simulated payload differs from the original run")
 	}
+	code, vh2, apiErr := submit(t, ts2, healthy)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if code != http.StatusOK || !vh2.CacheHit {
+		t.Errorf("undamaged entry not a disk hit after restart: code=%d view=%+v", code, vh2)
+	}
+	if _, b := getResult(t, ts2, vh2.ID); !bytes.Equal(b, healthyPayload) {
+		t.Error("undamaged entry served different bytes after restart")
+	}
 	snap := s2.Snapshot()
 	if snap.Completed != 1 {
-		t.Errorf("completed = %d, want exactly 1 re-simulation", snap.Completed)
+		t.Errorf("completed = %d, want exactly 1 re-simulation (the damaged entry only)", snap.Completed)
 	}
 	if snap.CacheQuarantined < 1 {
 		t.Errorf("cache_quarantined = %d, want >= 1", snap.CacheQuarantined)

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"tdnuca/internal/faults"
 	"tdnuca/internal/harness"
 	"tdnuca/internal/trace"
 	"tdnuca/internal/workloads"
@@ -613,6 +614,140 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	if snap.Completed != 1 {
 		t.Errorf("completed = %d, want exactly 1 simulation for %d clients", snap.Completed, clients)
 	}
+}
+
+// servedPool is the set of distinct specs the concurrent-client test
+// submits: every Table II benchmark under the baseline and TD-NUCA,
+// plus degraded (fault-injected) and traced variants.
+func servedPool() []JobSpec {
+	var pool []JobSpec
+	for _, bench := range workloads.Names() {
+		for _, policy := range []string{"snuca", "tdnuca"} {
+			pool = append(pool, JobSpec{Bench: bench, Policy: policy, Factor: testFactor})
+		}
+	}
+	return append(pool,
+		JobSpec{Bench: "Gauss", Policy: "tdnuca", Factor: testFactor, Faults: "bank=3@1000"},
+		JobSpec{Bench: "Kmeans", Policy: "tdnuca", Factor: testFactor, Faults: "link=1-2@2000"},
+		JobSpec{Bench: "MD5", Policy: "tdnuca", Factor: testFactor, Trace: true},
+		JobSpec{Bench: "Jacobi", Policy: "snuca", Factor: testFactor, Trace: true},
+	)
+}
+
+// directDigest runs spec's simulation without the server and renders
+// its digest the way payloads do. The job is built here from the
+// harness types, not by JobSpec.job, so it stays an independent oracle
+// of the service's spec-to-job translation.
+func directDigest(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	cfg := harness.DefaultConfig()
+	cfg.Factor = workloads.Factor(spec.Factor)
+	kind := harness.SNUCA
+	if spec.Policy == "tdnuca" {
+		kind = harness.TDNUCA
+	}
+	job := harness.Job{Bench: spec.Bench, Kind: kind, Cfg: cfg}
+	if spec.Faults != "" {
+		sc, err := faults.Parse(spec.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Faults = sc
+	}
+	if spec.Trace {
+		job.Trace = &trace.Options{}
+	}
+	r, err := harness.Run(context.Background(), job)
+	if err != nil {
+		t.Fatalf("direct run %s/%s: %v", spec.Bench, spec.Policy, err)
+	}
+	return fmt.Sprintf("%016x", r.Digest())
+}
+
+// TestServedDigestsMatchDirectRuns is the service's contract under
+// concurrent clients: four of them submit the pool twice over, and
+// every job lands, each content address is simulated exactly once, all
+// observations of an address are byte-identical, every served digest
+// equals a direct harness run of the same spec, and the drain leaks no
+// goroutines. The service is a cache in front of the harness, never a
+// fork of it.
+func TestServedDigestsMatchDirectRuns(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(Config{Workers: 2, QueueCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pool := servedPool()
+	const clients, rounds = 4, 2
+	type served struct {
+		id      string
+		payload []byte
+	}
+	ops := make([]served, rounds*len(pool)) // op i runs pool[i%len(pool)]
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(ops); i += clients {
+				_, v, apiErr := submit(t, ts, pool[i%len(pool)])
+				if apiErr != nil {
+					t.Errorf("op %d: %v", i, apiErr)
+					return
+				}
+				streamUntilTerminal(t, ts, v.ID)
+				code, payload := getResult(t, ts, v.ID)
+				if code != http.StatusOK {
+					t.Errorf("op %d: result %d: %s", i, code, payload)
+					return
+				}
+				ops[i] = served{id: v.ID, payload: payload}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	snap := s.Snapshot()
+	if snap.Completed != uint64(len(pool)) || snap.Failed != 0 || snap.Canceled != 0 {
+		t.Errorf("completed/failed/canceled = %d/%d/%d, want %d/0/0 (one simulation per spec)",
+			snap.Completed, snap.Failed, snap.Canceled, len(pool))
+	}
+	first := map[string][]byte{}
+	for i, op := range ops {
+		if prev, ok := first[op.id]; ok {
+			if !bytes.Equal(prev, op.payload) {
+				t.Errorf("op %d: job %s served different bytes than an earlier op", i, op.id)
+			}
+			continue
+		}
+		first[op.id] = op.payload
+	}
+	if len(first) != len(pool) {
+		t.Errorf("%d distinct ids for %d distinct specs", len(first), len(pool))
+	}
+	for i, spec := range pool {
+		var p ResultPayload
+		if err := json.Unmarshal(ops[i].payload, &p); err != nil {
+			t.Fatalf("%s/%s payload: %v", spec.Bench, spec.Policy, err)
+		}
+		if want := directDigest(t, spec); p.Digest != want {
+			t.Errorf("%s/%s faults=%q trace=%v: served digest %s != direct %s",
+				spec.Bench, spec.Policy, spec.Faults, spec.Trace, p.Digest, want)
+		}
+	}
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	assertNoGoroutineLeak(t, before)
 }
 
 func TestTracedJobStreamsSamples(t *testing.T) {
