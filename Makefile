@@ -1,9 +1,9 @@
 # TD-NUCA reproduction — build / test / CI entry points.
 #
 #   make ci          everything a PR must pass: build, vet, lint, tests,
-#                    race, one-iteration benchmark smoke, the bench/
-#                    module's smoke test, and the trace, faults,
-#                    generator and service smokes
+#                    race, one-iteration benchmark smoke and the bench/
+#                    module's smoke test (the smokes below are subsets of
+#                    these, kept as standalone targets)
 #   make lint        gofmt check + go vet + tdnuca-lint, the repo's own
 #                    static-analysis suite (determinism / hot-path
 #                    allocation / units; DESIGN.md §9)
@@ -20,15 +20,15 @@
 #                    with medians, IQRs, wins, a confidence band on the
 #                    paired ratio and a verdict per metric (about 70 s
 #                    per pair; not part of ci)
-#   make trace-smoke one traced run through the experiments CLI: writes
+#   make trace-smoke one traced run through the CLI: writes
 #                    and validates the Chrome trace + interval series and
 #                    checks the cycle stack sums to cores x makespan
 #   make faults-smoke degraded (fault-injected) suite checked against its
 #                    golden digests, plus worker-count independence
 #   make gen-smoke   generated-workload differential suite (pinned golden
 #                    digests, cross-policy access-set equality) plus one
-#                    CLI run of a generated workload on the 4x4 and 8x8
-#                    meshes
+#                    CLI run of a generated workload under every policy on
+#                    the 4x4 and 8x8 meshes
 #   make serve-smoke the experiment service's raced package tests:
 #                    byte-identical cache hits, concurrent duplicate
 #                    submissions coalescing to one simulation, drain and
@@ -110,9 +110,10 @@ bench-ab:
 
 # End-to-end proof of the observability layer: the CLI validates the
 # written Chrome JSON (parse + slice count) and the cycle-stack sum
-# itself, exiting non-zero on any mismatch (DESIGN.md §10).
+# itself, exiting non-zero on any mismatch (DESIGN.md §10). The CLI's
+# TestBenchTrace runs the same command under make test.
 trace-smoke:
-	$(GO) run ./cmd/tdnuca-experiments -trace LU -trace-out /tmp/tdnuca-trace-smoke.json \
+	$(GO) run ./cmd/tdnuca-experiments -bench LU -trace /tmp/tdnuca-trace-smoke.json \
 		-interval 5000 -factor 0.0078125
 
 # Digest-checked degraded run: the fault-injected suite must reproduce
@@ -124,11 +125,12 @@ faults-smoke:
 # The generated-workload differential layer: pinned workgen seeds must
 # reproduce their golden digests with identical access sets across
 # policies and worker counts, then one CLI run exercises the 4x4 and the
-# generalized 8x8 mesh end to end (DESIGN.md §12).
+# generalized 8x8 mesh end to end (DESIGN.md §12). The CLI's
+# TestBenchGenerated* tests cover the same runs under make test.
 gen-smoke:
 	$(GO) test ./internal/harness -run 'TestGenerated'
-	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -check -factor 0.0078125
-	$(GO) run ./cmd/tdnuca-experiments -gen seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -bench gen:seed=3,depth=4,width=8 -check -factor 0.0078125
+	$(GO) run ./cmd/tdnuca-experiments -bench gen:seed=3,depth=4,width=8 -mesh 8x8 -check -factor 0.0078125
 
 # The experiment-service layer (DESIGN.md §14, §15): raced package tests
 # for byte-identical cache hits, coalescing of concurrent duplicate
@@ -162,4 +164,7 @@ fuzz-smoke:
 golden:
 	$(GO) test ./internal/harness -run 'Golden|TestGeneratedGoldenDigests' -update
 
-ci: build lint lint-timing test race bench-quick bench-smoke trace-smoke faults-smoke gen-smoke serve-smoke
+# The trace, faults, generator and service smokes are not repeated here:
+# test and race already run every test they select, and the CLI's own
+# tests run their command lines.
+ci: build lint lint-timing test race bench-quick bench-smoke

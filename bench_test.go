@@ -66,7 +66,7 @@ func BenchmarkTable1Config(b *testing.B) {
 func BenchmarkTable2Workloads(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.TableII(cfg)
+		tbl, err := tdnuca.TableII(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkFig15BypassOnly(b *testing.B) {
 func BenchmarkRRTLatencySweep(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.RRTLatencySweep(cfg, []int{0, 1, 2, 3, 4})
+		tbl, err := tdnuca.RRTLatencySweep(cfg, []int{0, 1, 2, 3, 4}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func BenchmarkFlushOverhead(b *testing.B) {
 func BenchmarkRuntimeOverhead(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.RuntimeOverheadTable(cfg)
+		tbl, err := tdnuca.RuntimeOverheadTable(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkRuntimeOverhead(b *testing.B) {
 func BenchmarkAblationDesignChoices(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.AblationTable(cfg)
+		tbl, err := tdnuca.AblationTable(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func BenchmarkAblationDesignChoices(b *testing.B) {
 func BenchmarkClusterSweep(b *testing.B) {
 	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.ClusterSweep(cfg, [][2]int{{1, 1}, {2, 2}, {4, 4}})
+		tbl, err := tdnuca.ClusterSweep(cfg, [][2]int{{1, 1}, {2, 2}, {4, 4}}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,78 +1,64 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tdnuca"
-	"tdnuca/internal/harness"
 	"tdnuca/internal/sim"
 )
 
-// runTraced executes one traced run and writes the Chrome trace plus the
-// interval CSV/JSON time series, then validates what it wrote: the JSON
-// must parse, carry task slices, and the cycle stack must sum exactly to
-// cores times makespan. Any failure exits non-zero.
-func runTraced(cfg tdnuca.ExperimentConfig, spec, out string, interval uint64) {
-	bench, name, _ := strings.Cut(spec, ":")
-	kind := tdnuca.TDNUCA
-	if name != "" {
-		k, ok := harness.ParsePolicy(name)
-		if !ok {
-			fail(fmt.Errorf("unknown policy %q in -trace", name))
-		}
-		kind = k
+// writeTrace writes a traced run's Chrome trace to the -trace path and
+// its interval series next to it (.intervals.csv, .intervals.json), then
+// validates what it wrote: the JSON must parse and carry one slice per
+// task, and the cycle stack must sum exactly to cores times makespan.
+func (c *cli) writeTrace(res tdnuca.Result) error {
+	data, out := res.Trace, c.trace
+	csvPath, jsonPath := out+".intervals.csv", out+".intervals.json"
+	writeChrome := func(w io.Writer) error { return tdnuca.WriteChromeTrace(w, data) }
+	if err := writeFile(out, writeChrome); err != nil {
+		return err
+	}
+	if err := writeFile(csvPath, data.WriteIntervalsCSV); err != nil {
+		return err
+	}
+	if err := writeFile(jsonPath, data.WriteIntervalsJSON); err != nil {
+		return err
+	}
+	if err := validateChrome(out, len(data.Tasks)); err != nil {
+		return err
+	}
+	cores := c.cfg.Arch.NumCores
+	total := res.Cycles * sim.Cycles(cores)
+	if got := res.Stack.Total(); got != total {
+		return fmt.Errorf("cycle stack sums to %d, want %d cores * %d cycles = %d",
+			got, cores, res.Cycles, total)
 	}
 
-	res, err := tdnuca.RunExperiment(context.Background(), tdnuca.ExperimentJob{
-		Bench: bench, Kind: kind, Cfg: cfg,
-		Trace: &tdnuca.TraceOptions{Interval: sim.Cycles(interval)},
-	})
-	fail(err)
-	data := res.Trace
-	for _, v := range res.Violations {
-		fmt.Fprintf(os.Stderr, "COHERENCE VIOLATION %s/%s: %s\n", bench, kind, v)
+	w := c.stdout
+	fmt.Fprintf(w, "%s / %s: %d cycles, %d tasks, %d events (%d dropped), %d interval samples\n",
+		res.Benchmark, res.Policy, res.Cycles, res.Tasks, len(data.Events), data.Dropped, len(data.Samples))
+	fmt.Fprintf(w, "wrote %s, %s, %s\n", out, csvPath, jsonPath)
+	fmt.Fprintf(w, "cycle stack (of %d aggregate core-cycles):\n", total)
+	for _, sc := range res.Stack.Components() {
+		fmt.Fprintf(w, "  %-9s %12d  %5.1f%%\n", sc.Name, sc.Cycles, 100*float64(sc.Cycles)/float64(total))
 	}
+	return nil
+}
 
-	f, err := os.Create(out)
-	fail(err)
-	err = tdnuca.WriteChromeTrace(f, data)
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	fail(err)
-
-	csvPath, jsonPath := out+".intervals.csv", out+".intervals.json"
-	writeTo := func(path string, write func(io.Writer) error) {
-		f, err := os.Create(path)
-		fail(err)
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		fail(err)
-	}
-	writeTo(csvPath, data.WriteIntervalsCSV)
-	writeTo(jsonPath, data.WriteIntervalsJSON)
-
-	fail(validateChrome(out, len(data.Tasks)))
-	total := res.Cycles * sim.Cycles(cfg.Arch.NumCores)
-	if got := res.Stack.Total(); got != total {
-		fail(fmt.Errorf("cycle stack sums to %d, want %d cores * %d cycles = %d",
-			got, cfg.Arch.NumCores, res.Cycles, total))
-	}
-
-	fmt.Printf("%s / %s: %d cycles, %d tasks, %d events (%d dropped), %d interval samples\n",
-		bench, kind, res.Cycles, res.Tasks, len(data.Events), data.Dropped, len(data.Samples))
-	fmt.Printf("wrote %s, %s, %s\n", out, csvPath, jsonPath)
-	fmt.Printf("cycle stack (of %d aggregate core-cycles):\n", total)
-	for _, c := range res.Stack.Components() {
-		fmt.Printf("  %-9s %12d  %5.1f%%\n", c.Name, c.Cycles, 100*float64(c.Cycles)/float64(total))
-	}
+	return err
 }
 
 // validateChrome re-reads the written trace and checks it is valid JSON

@@ -16,8 +16,9 @@ type ablationVariant struct {
 // the deferred task-end flush, the data-affinity scheduler, and the
 // per-dependency decision cost. Each variant reruns the full suite and
 // reports the TD-NUCA speedup against an S-NUCA baseline that shares
-// every knob except the TD-specific ones, so scheduler effects cancel.
-func AblationTable(cfg Config) (stats.Table, error) {
+// every knob except the TD-specific ones, so scheduler effects cancel
+// (workers as in RunMany).
+func AblationTable(cfg Config, workers int) (stats.Table, error) {
 	t := stats.Table{
 		Title:  "Ablation: TD-NUCA design choices (speedup vs matching S-NUCA)",
 		Header: []string{"Variant", "avg", "Gauss", "LU", "MD5"},
@@ -40,7 +41,7 @@ func AblationTable(cfg Config) (stats.Table, error) {
 				Job{Bench: b, Kind: TDNUCA, Cfg: cfgV})
 		}
 	}
-	results, err := RunMany(jobs, 0)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return t, err
 	}
@@ -68,8 +69,9 @@ func AblationTable(cfg Config) (stats.Table, error) {
 // give every core its own replica (maximum replication, 16 copies), the
 // default 2x2 quadrants match the paper, and a 4x4 cluster is the whole
 // chip (a single copy — replication disabled). Reported per benchmark as
-// TD-NUCA speedup over the (cluster-independent) S-NUCA baseline.
-func ClusterSweep(cfg Config, dims [][2]int) (stats.Table, error) {
+// TD-NUCA speedup over the (cluster-independent) S-NUCA baseline
+// (workers as in RunMany).
+func ClusterSweep(cfg Config, dims [][2]int, workers int) (stats.Table, error) {
 	t := stats.Table{
 		Title:  "Ablation: LLC replication cluster size (TD-NUCA speedup vs S-NUCA)",
 		Header: []string{"Bench"},
@@ -93,7 +95,7 @@ func ClusterSweep(cfg Config, dims [][2]int) (stats.Table, error) {
 			jobs = append(jobs, Job{Bench: b, Kind: TDNUCA, Cfg: c})
 		}
 	}
-	results, err := RunMany(jobs, 0)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return t, err
 	}

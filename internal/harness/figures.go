@@ -25,9 +25,10 @@ func TableI(cfg Config) stats.Table {
 	return t
 }
 
-// TableII runs every benchmark once (under S-NUCA) and reports the
-// scaled problem geometry: input size, task count and average task size.
-func TableII(cfg Config) (stats.Table, error) {
+// TableII runs every benchmark once (under S-NUCA, workers as in
+// RunMany) and reports the scaled problem geometry: input size, task
+// count and average task size.
+func TableII(cfg Config, workers int) (stats.Table, error) {
 	t := stats.Table{
 		Title:  fmt.Sprintf("Table II: benchmarks at memory factor %.4f", float64(cfg.Factor)),
 		Header: []string{"Bench", "Problem set", "Input (MB)", "Tasks", "Avg task (KB)"},
@@ -36,7 +37,7 @@ func TableII(cfg Config) (stats.Table, error) {
 	for _, name := range workloads.Names() {
 		jobs = append(jobs, Job{Bench: name, Kind: SNUCA, Cfg: cfg})
 	}
-	results, err := RunMany(jobs, 0)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return t, err
 	}
@@ -218,8 +219,8 @@ func Fig15(s Suite) stats.Table {
 
 // RRTLatencySweep reproduces the Sec. V-E study: TD-NUCA with RRT
 // latencies 0-4 cycles, reporting the average slowdown versus the ideal
-// zero-latency RRT.
-func RRTLatencySweep(cfg Config, latencies []int) (stats.Table, error) {
+// zero-latency RRT (workers as in RunMany).
+func RRTLatencySweep(cfg Config, latencies []int, workers int) (stats.Table, error) {
 	t := stats.Table{
 		Title:  "Sec. V-E: performance overhead of RRT latency (vs 0-cycle RRT)",
 		Header: []string{"RRT latency", "avg slowdown", "paper"},
@@ -244,7 +245,7 @@ func RRTLatencySweep(cfg Config, latencies []int) (stats.Table, error) {
 			jobs = append(jobs, Job{Bench: b, Kind: TDNUCA, Cfg: cfgL})
 		}
 	}
-	results, err := RunMany(jobs, 0)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return t, err
 	}
@@ -296,7 +297,8 @@ func OccupancyTable(s Suite) stats.Table {
 }
 
 // FlushOverheadTable reports the fraction of execution time spent in
-// cache flushes under TD-NUCA (Sec. V-E).
+// cache flushes under TD-NUCA (Sec. V-E): flush cycles over the run's
+// aggregate core-cycles (its cycle stack total, NumCores x makespan).
 func FlushOverheadTable(s Suite) stats.Table {
 	t := stats.Table{
 		Title:  "Sec. V-E: time spent flushing under TD-NUCA",
@@ -304,7 +306,7 @@ func FlushOverheadTable(s Suite) stats.Table {
 	}
 	for _, b := range PaperBenchOrder {
 		r := s[b][TDNUCA]
-		frac := float64(r.Metrics.FlushCycles) / (float64(r.Cycles) * float64(16))
+		frac := float64(r.Metrics.FlushCycles) / float64(r.Stack.Total())
 		t.AddRow(b, stats.Pct(frac), fmt.Sprintf("%d", r.Metrics.FlushedBlocks))
 	}
 	t.AddRow("paper", "<0.1% (Histo 0.49%)", "")
@@ -313,8 +315,8 @@ func FlushOverheadTable(s Suite) stats.Table {
 
 // RuntimeOverheadTable reproduces the Sec. V-E runtime-extension
 // overhead study: the TD-NUCA runtime bookkeeping without ISA execution,
-// compared against plain S-NUCA.
-func RuntimeOverheadTable(cfg Config) (stats.Table, error) {
+// compared against plain S-NUCA (workers as in RunMany).
+func RuntimeOverheadTable(cfg Config, workers int) (stats.Table, error) {
 	t := stats.Table{
 		Title:  "Sec. V-E: runtime-system extension overhead (no ISA, vs S-NUCA)",
 		Header: []string{"Bench", "overhead", "paper"},
@@ -325,7 +327,7 @@ func RuntimeOverheadTable(cfg Config) (stats.Table, error) {
 			Job{Bench: b, Kind: SNUCA, Cfg: cfg},
 			Job{Bench: b, Kind: TDNoISA, Cfg: cfg})
 	}
-	results, err := RunMany(jobs, 0)
+	results, err := RunMany(jobs, workers)
 	if err != nil {
 		return t, err
 	}

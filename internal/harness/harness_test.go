@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tdnuca/internal/arch"
+	"tdnuca/internal/trace"
 	"tdnuca/internal/workloads"
 )
 
@@ -146,6 +147,26 @@ func TestSuiteAndMainFigures(t *testing.T) {
 	}
 }
 
+// TestFlushOverheadUsesCoreCount pins the flush share's denominator to
+// the run's aggregate core-cycles: on a 64-core run, 640 flush cycles
+// over a 1000-cycle makespan are 1.0% of the machine's time, not the
+// 4.0% a fixed 16-core divisor reports.
+func TestFlushOverheadUsesCoreCount(t *testing.T) {
+	const cores, cycles = 64, 1000
+	s := make(Suite)
+	for _, b := range PaperBenchOrder {
+		r := Result{Cycles: cycles, Stack: trace.CycleStack{Idle: cores * cycles}}
+		r.Metrics.FlushCycles = 640
+		s[b] = map[PolicyKind]Result{TDNUCA: r}
+	}
+	tbl := FlushOverheadTable(s)
+	for _, row := range tbl.Rows[:len(PaperBenchOrder)] {
+		if row[1] != "1.0%" {
+			t.Errorf("%s flush time = %s, want 1.0%% of %d cores x %d cycles", row[0], row[1], cores, cycles)
+		}
+	}
+}
+
 func TestTableIRendersConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	tbl := TableI(cfg)
@@ -169,7 +190,7 @@ func TestTableIRendersConfig(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	tbl, err := TableII(fastCfg())
+	tbl, err := TableII(fastCfg(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +223,7 @@ func TestRuntimeOverheadSmall(t *testing.T) {
 
 func TestRRTLatencySweepMonotone(t *testing.T) {
 	cfg := fastCfg()
-	tbl, err := RRTLatencySweep(cfg, []int{0, 2, 4})
+	tbl, err := RRTLatencySweep(cfg, []int{0, 2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +248,7 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestAblationTable(t *testing.T) {
-	tbl, err := AblationTable(fastCfg())
+	tbl, err := AblationTable(fastCfg(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +264,7 @@ func TestAblationTable(t *testing.T) {
 }
 
 func TestClusterSweep(t *testing.T) {
-	tbl, err := ClusterSweep(fastCfg(), [][2]int{{1, 1}, {2, 2}, {4, 4}})
+	tbl, err := ClusterSweep(fastCfg(), [][2]int{{1, 1}, {2, 2}, {4, 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +274,7 @@ func TestClusterSweep(t *testing.T) {
 }
 
 func TestClusterSweepRejectsBadDims(t *testing.T) {
-	if _, err := ClusterSweep(fastCfg(), [][2]int{{3, 3}}); err == nil {
+	if _, err := ClusterSweep(fastCfg(), [][2]int{{3, 3}}, 0); err == nil {
 		t.Error("3x3 clusters on a 4x4 mesh accepted")
 	}
 }

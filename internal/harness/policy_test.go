@@ -7,7 +7,7 @@ import (
 	"tdnuca/internal/machine"
 )
 
-// TestParsePolicy pins every spelling the CLIs and the service have
+// TestParsePolicy pins every spelling the CLI and the service have
 // ever accepted to its kind, in the letter cases users type, and
 // rejects non-names.
 func TestParsePolicy(t *testing.T) {

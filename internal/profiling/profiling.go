@@ -1,5 +1,5 @@
-// Package profiling wires Go's runtime/pprof profilers into the CLI
-// tools. Both commands expose -cpuprofile and -memprofile flags through
+// Package profiling wires Go's runtime/pprof profilers into the
+// simulation CLI. It exposes -cpuprofile and -memprofile flags through
 // Start/Stop so a hot-path regression can be diagnosed with the standard
 // toolchain (`go tool pprof`) without rebuilding anything.
 package profiling

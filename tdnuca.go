@@ -14,7 +14,9 @@
 //	fmt.Println(sys.Makespan(), sys.Metrics().LLCHitRatio())
 //
 // For the paper's experiments use RunExperiment / RunSuite and the
-// Figure helpers, or the cmd/tdnuca-experiments tool.
+// Figure helpers, or the cmd/tdnuca-experiments command: -bench runs one
+// workload under every policy (or one, with -policy), -fig and -all
+// regenerate the tables and figures, -faults runs the degraded suite.
 package tdnuca
 
 import (
