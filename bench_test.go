@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"tdnuca"
+	"tdnuca/internal/harness"
 )
 
 var (
@@ -39,10 +40,27 @@ func suite(b *testing.B) tdnuca.Suite {
 var printOnce sync.Map
 
 // printTable emits each regenerated table exactly once per run.
-func printTable(name string, tbl tdnuca.Table) {
+func printTable(name, text string) {
 	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
-		fmt.Printf("\n%s\n", tbl)
+		fmt.Printf("\n%s\n", text)
 	}
+}
+
+// runFigure regenerates the named entry of harness.Figures on its own, at
+// the default configuration on the default pool, and returns its text.
+func runFigure(b *testing.B, name string) string {
+	b.Helper()
+	for _, f := range harness.Figures {
+		if f.Name == name {
+			texts, _, _, err := harness.RunFigures([]harness.Figure{f}, tdnuca.DefaultExperimentConfig(), 1, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return texts[0]
+		}
+	}
+	b.Fatalf("no figure %q", name)
+	return ""
 }
 
 func geoMeanSpeedup(s tdnuca.Suite, kind tdnuca.PolicyKind) float64 {
@@ -60,17 +78,12 @@ func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.TableI(cfg)
 	}
-	printTable("table1", tbl)
+	printTable("table1", tbl.String())
 }
 
 func BenchmarkTable2Workloads(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.TableII(cfg, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("table2", tbl)
+		printTable("table2", runFigure(b, "table2"))
 	}
 }
 
@@ -81,7 +94,7 @@ func BenchmarkFig3Classification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig3(s)
 	}
-	printTable("fig3", tbl)
+	printTable("fig3", tbl.String())
 }
 
 func BenchmarkFig8Speedup(b *testing.B) {
@@ -91,7 +104,7 @@ func BenchmarkFig8Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig8(s)
 	}
-	printTable("fig8", tbl)
+	printTable("fig8", tbl.String())
 	b.ReportMetric(geoMeanSpeedup(s, tdnuca.TDNUCA), "td-speedup")
 	b.ReportMetric(geoMeanSpeedup(s, tdnuca.RNUCA), "r-speedup")
 }
@@ -103,7 +116,7 @@ func BenchmarkFig9LLCAccesses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig9(s)
 	}
-	printTable("fig9", tbl)
+	printTable("fig9", tbl.String())
 }
 
 func BenchmarkFig10HitRatio(b *testing.B) {
@@ -113,7 +126,7 @@ func BenchmarkFig10HitRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig10(s)
 	}
-	printTable("fig10", tbl)
+	printTable("fig10", tbl.String())
 }
 
 func BenchmarkFig11NUCADistance(b *testing.B) {
@@ -123,7 +136,7 @@ func BenchmarkFig11NUCADistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig11(s)
 	}
-	printTable("fig11", tbl)
+	printTable("fig11", tbl.String())
 	var dist float64
 	for _, bench := range tdnuca.Benchmarks() {
 		dist += s[bench][tdnuca.SNUCA].Metrics.NUCADistance()
@@ -138,7 +151,7 @@ func BenchmarkFig12DataMovement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig12(s)
 	}
-	printTable("fig12", tbl)
+	printTable("fig12", tbl.String())
 	var ratio float64
 	for _, bench := range tdnuca.Benchmarks() {
 		ratio += float64(s[bench][tdnuca.TDNUCA].DataMovement) /
@@ -154,7 +167,7 @@ func BenchmarkFig13LLCEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig13(s)
 	}
-	printTable("fig13", tbl)
+	printTable("fig13", tbl.String())
 }
 
 func BenchmarkFig14NoCEnergy(b *testing.B) {
@@ -164,7 +177,7 @@ func BenchmarkFig14NoCEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig14(s)
 	}
-	printTable("fig14", tbl)
+	printTable("fig14", tbl.String())
 }
 
 func BenchmarkFig15BypassOnly(b *testing.B) {
@@ -174,18 +187,13 @@ func BenchmarkFig15BypassOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.Fig15(s)
 	}
-	printTable("fig15", tbl)
+	printTable("fig15", tbl.String())
 	b.ReportMetric(geoMeanSpeedup(s, tdnuca.TDBypassOnly), "bypass-only-speedup")
 }
 
 func BenchmarkRRTLatencySweep(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.RRTLatencySweep(cfg, []int{0, 1, 2, 3, 4}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("rrt-sweep", tbl)
+		printTable("rrt-sweep", runFigure(b, "rrt"))
 	}
 }
 
@@ -196,7 +204,7 @@ func BenchmarkRRTOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.OccupancyTable(s)
 	}
-	printTable("occupancy", tbl)
+	printTable("occupancy", tbl.String())
 	var avg float64
 	for _, bench := range tdnuca.Benchmarks() {
 		avg += s[bench][tdnuca.TDNUCA].RRTAvgOcc
@@ -211,43 +219,28 @@ func BenchmarkFlushOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = tdnuca.FlushOverheadTable(s)
 	}
-	printTable("flush", tbl)
+	printTable("flush", tbl.String())
 }
 
 func BenchmarkRuntimeOverhead(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.RuntimeOverheadTable(cfg, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("rt-overhead", tbl)
+		printTable("rt-overhead", runFigure(b, "rtoverhead"))
 	}
 }
 
 // BenchmarkAblationDesignChoices regenerates the DESIGN.md §6 ablation:
 // deferred flush and affinity scheduling switched off individually.
 func BenchmarkAblationDesignChoices(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.AblationTable(cfg, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("ablation", tbl)
+		printTable("ablation", runFigure(b, "ablation"))
 	}
 }
 
 // BenchmarkClusterSweep regenerates the replication-cluster-size ablation
 // (1x1 per-core replicas, the paper's 2x2 quadrants, 4x4 no-replication).
 func BenchmarkClusterSweep(b *testing.B) {
-	cfg := tdnuca.DefaultExperimentConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := tdnuca.ClusterSweep(cfg, [][2]int{{1, 1}, {2, 2}, {4, 4}}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("clusters", tbl)
+		printTable("clusters", runFigure(b, "clusters"))
 	}
 }
 

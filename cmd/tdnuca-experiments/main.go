@@ -28,11 +28,15 @@
 // the cycle stack. -faults runs the suite with a fault scenario injected
 // (DESIGN.md §11); "default" is the seeded severity-3 ladder.
 //
-// In every mode -digest appends the runs' behavioral digests, -mesh
-// swaps in a generalized WxH mesh, and -check enables the coherence
-// checker: any violation is printed to stderr and exits 1. Runs fan out
-// over -workers (one per CPU by default) with results bit-for-bit
-// identical to -workers 1: every run owns its machine and runtime.
+// The figure flags select entries of harness.Figures (Table II and the
+// sweeps included) and run them as one batch that simulates a run two
+// figures share once; -digest there appends the S-NUCA, R-NUCA and
+// TD-NUCA figure suite's digest, in -bench and -faults the runs'. In
+// every mode -mesh swaps in a generalized WxH mesh, and -check enables
+// the coherence checker: a violation in any run is printed to stderr
+// and exits 1. Runs fan out over -workers (one per CPU by default) with
+// results bit-for-bit identical to -workers 1: every run owns its
+// machine and runtime.
 package main
 
 import (
@@ -41,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -104,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.Uint64Var(&c.interval, "interval", 0, "interval sample length in cycles for -trace (0 = default)")
 	fs.StringVar(&c.fig, "fig", "", "figure to regenerate: 3, 8..15, rrt, occupancy, flush, rtoverhead, ablation, clusters, resilience, cyclestack, table1, table2")
 	fs.BoolVar(&c.all, "all", false, "regenerate every table and figure")
-	fs.BoolVar(&c.digest, "digest", false, "print the behavioral digest of the runs made (alone: of the figure suite)")
+	fs.BoolVar(&c.digest, "digest", false, "print behavioral digests: of the -bench or -faults runs, else of the S/R/TD figure suite")
 	fs.StringVar(&c.faults, "faults", "", "run the suite degraded: a fault scenario like bank=3@20000,link=1-2@50000,rrt=8@80000, or 'default' for the seeded severity-3 ladder")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "seed for generated fault scenarios (-faults default, -fig resilience)")
 	fs.IntVar(&c.workers, "workers", 0, "parallel simulation workers (0 = one per CPU, 1 = sequential)")
@@ -173,27 +176,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		c.cfg.Arch = a
 	}
 
-	var suite tdnuca.Suite
+	var results []tdnuca.Result
 	switch {
 	case c.bench != "":
-		suite, err = c.runBench()
+		results, err = c.runBench()
 	case c.faults != "":
-		suite, err = c.runDegraded()
+		results, err = c.runDegraded()
 	default:
-		suite, err = c.runFigures()
+		results, err = c.runFigures()
 	}
 	if err != nil {
 		return err
 	}
-	if c.digest {
-		fmt.Fprint(stdout, tdnuca.DigestSuite(suite).String())
-	}
-	return reportViolations(stderr, suite)
+	return reportViolations(stderr, results)
 }
 
 // runBench runs one workload: under one policy with every metric, traced
 // when -trace is set, or under every policy as a comparison table.
-func (c *cli) runBench() (tdnuca.Suite, error) {
+func (c *cli) runBench() ([]tdnuca.Result, error) {
 	bench := c.bench
 	if tdnuca.IsGeneratedName(bench) {
 		p, err := tdnuca.ParseWorkloadName(bench)
@@ -225,10 +225,6 @@ func (c *cli) runBench() (tdnuca.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite := tdnuca.Suite{bench: {}}
-	for _, r := range results {
-		suite[bench][r.Policy] = r
-	}
 	switch {
 	case c.trace != "":
 		err = c.writeTrace(results[0])
@@ -238,7 +234,14 @@ func (c *cli) runBench() (tdnuca.Suite, error) {
 		err = harness.VerifyAccessInvariance(results)
 		c.printComparison(bench, results)
 	}
-	return suite, err
+	if err == nil && c.digest {
+		suite := tdnuca.Suite{bench: {}}
+		for _, r := range results {
+			suite[bench][r.Policy] = r
+		}
+		fmt.Fprint(c.stdout, tdnuca.DigestSuite(suite).String())
+	}
+	return results, err
 }
 
 // printComparison prints one workload's runs side by side, normalized to
@@ -301,7 +304,7 @@ func printReport(w io.Writer, r tdnuca.Result) {
 
 // runDegraded runs every benchmark under the core policies with the
 // -faults scenario injected and prints the per-run fault accounting.
-func (c *cli) runDegraded() (tdnuca.Suite, error) {
+func (c *cli) runDegraded() ([]tdnuca.Result, error) {
 	var sc *tdnuca.FaultScenario
 	if strings.EqualFold(c.faults, "default") {
 		sc = tdnuca.DefaultFaults(&c.cfg.Arch, c.faultSeed)
@@ -320,113 +323,58 @@ func (c *cli) runDegraded() (tdnuca.Suite, error) {
 	fmt.Fprintf(c.stdout, "Degraded suite under faults [%s]\n", sc)
 	fmt.Fprintf(c.stdout, "%-12s %-22s %14s %6s %6s %5s %13s %18s\n",
 		"benchmark", "policy", "cycles", "banks", "links", "rrt", "fault-cycles", "digest")
-	for _, e := range tdnuca.DigestSuite(suite).Entries {
-		f := suite[e.Benchmark][e.Policy].Faults
+	d := tdnuca.DigestSuite(suite)
+	var results []tdnuca.Result
+	for _, e := range d.Entries {
+		r := suite[e.Benchmark][e.Policy]
+		f := r.Faults
 		fmt.Fprintf(c.stdout, "%-12s %-22s %14d %6d %6d %5d %13d %016x\n",
 			e.Benchmark, e.Policy, uint64(e.Cycles), f.BankRetirements, f.LinkFailures,
 			f.RRTDegrades, uint64(f.FaultCycles), e.Digest)
+		results = append(results, r)
 	}
-	return suite, nil
+	if c.digest {
+		fmt.Fprint(c.stdout, d.String())
+	}
+	return results, nil
 }
 
-// runFigures regenerates the tables and figures -fig/-all select. It
-// returns the figure suite when one was needed (every per-run figure
-// and -digest read it) and nil otherwise.
-func (c *cli) runFigures() (tdnuca.Suite, error) {
-	known := false
-	want := func(name string) bool {
-		on := c.all || strings.EqualFold(c.fig, name)
-		known = known || on
-		return on
-	}
-	start := time.Now()
-
-	if want("table1") {
-		fmt.Fprintln(c.stdout, tdnuca.TableI(c.cfg))
-	}
-	if want("table2") {
-		tbl, err := tdnuca.TableII(c.cfg, c.workers)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(c.stdout, tbl)
-	}
-
-	type figEntry struct {
-		name string
-		gen  func(tdnuca.Suite) tdnuca.Table
-	}
-	suiteFigs := []figEntry{
-		{"3", tdnuca.Fig3}, {"8", tdnuca.Fig8}, {"9", tdnuca.Fig9},
-		{"10", tdnuca.Fig10}, {"11", tdnuca.Fig11}, {"12", tdnuca.Fig12},
-		{"13", tdnuca.Fig13}, {"14", tdnuca.Fig14}, {"15", tdnuca.Fig15},
-		{"occupancy", tdnuca.OccupancyTable}, {"flush", tdnuca.FlushOverheadTable},
-		{"cyclestack", tdnuca.CycleStackTable},
-	}
-	needSuite := c.digest
-	for _, fe := range suiteFigs {
-		if want(fe.name) {
-			needSuite = true
+// runFigures regenerates the tables and figures -fig/-all select, plus
+// the figure suite's digest under -digest, as one batch that simulates
+// each distinct run once. It returns every run of the batch.
+func (c *cli) runFigures() ([]tdnuca.Result, error) {
+	var figs []harness.Figure
+	for _, f := range harness.Figures {
+		if c.all || strings.EqualFold(c.fig, f.Name) {
+			figs = append(figs, f)
 		}
 	}
-	var suite tdnuca.Suite
-	if needSuite {
-		kinds := corePolicies
-		if want("15") {
-			kinds = append(slices.Clip(kinds), tdnuca.TDBypassOnly)
-		}
-		fmt.Fprintf(c.stderr, "running %d benchmarks x %d policies at factor %g on %d workers...\n",
-			len(tdnuca.Benchmarks()), len(kinds), float64(c.cfg.Factor), c.workers)
-		var err error
-		if suite, err = tdnuca.RunSuite(tdnuca.ExperimentJob{Cfg: c.cfg}, c.workers, kinds...); err != nil {
-			return nil, err
-		}
-		for _, fe := range suiteFigs {
-			if want(fe.name) {
-				fmt.Fprintln(c.stdout, fe.gen(suite))
-			}
-		}
-	}
-
-	sweeps := []struct {
-		name string
-		gen  func() (fmt.Stringer, error)
-	}{
-		{"rrt", func() (fmt.Stringer, error) { return tdnuca.RRTLatencySweep(c.cfg, []int{0, 1, 2, 3, 4}, c.workers) }},
-		{"rtoverhead", func() (fmt.Stringer, error) { return tdnuca.RuntimeOverheadTable(c.cfg, c.workers) }},
-		{"ablation", func() (fmt.Stringer, error) { return tdnuca.AblationTable(c.cfg, c.workers) }},
-		{"clusters", func() (fmt.Stringer, error) {
-			return tdnuca.ClusterSweep(c.cfg, [][2]int{{1, 1}, {2, 2}, {4, 4}}, c.workers)
-		}},
-		{"resilience", func() (fmt.Stringer, error) {
-			return tdnuca.ResilienceSweep(c.cfg, c.faultSeed, 3, c.workers, corePolicies...)
-		}},
-	}
-	for _, sw := range sweeps {
-		if !want(sw.name) {
-			continue
-		}
-		out, err := sw.gen()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(c.stdout, out)
-	}
-	if c.fig != "" && !known {
+	if c.fig != "" && len(figs) == 0 {
 		return nil, fmt.Errorf("unknown figure %q", c.fig)
 	}
-	fmt.Fprintf(c.stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
-	return suite, nil
+	if c.digest {
+		figs = append(figs, harness.DigestFigure)
+	}
+	start := time.Now()
+	texts, jobs, results, err := harness.RunFigures(figs, c.cfg, c.faultSeed, c.workers)
+	if err != nil {
+		return nil, err
+	}
+	for _, text := range texts {
+		fmt.Fprint(c.stdout, text)
+	}
+	fmt.Fprintf(c.stderr, "%d runs at factor %g on %d workers in %v\n",
+		len(jobs), float64(c.cfg.Factor), c.workers, time.Since(start).Round(time.Millisecond))
+	return results, nil
 }
 
-// reportViolations prints every coherence violation of the suite to w in
-// the digest's canonical (benchmark, policy) order, and returns
-// errViolations if there was any.
-func reportViolations(w io.Writer, s tdnuca.Suite) error {
+// reportViolations prints every coherence violation of the runs to w,
+// in run order, and returns errViolations if there was any.
+func reportViolations(w io.Writer, results []tdnuca.Result) error {
 	n := 0
-	for _, e := range tdnuca.DigestSuite(s).Entries {
-		for _, v := range s[e.Benchmark][e.Policy].Violations {
-			fmt.Fprintf(w, "COHERENCE VIOLATION %s/%s: %s\n", e.Benchmark, e.Policy, v)
+	for _, r := range results {
+		for _, v := range r.Violations {
+			fmt.Fprintf(w, "COHERENCE VIOLATION %s/%s: %s\n", r.Benchmark, r.Policy, v)
 			n++
 		}
 	}

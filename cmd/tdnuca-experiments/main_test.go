@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,25 +155,50 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestReportViolations: one violation anywhere in a suite is printed
-// and fails the command.
+// TestReportViolations: one violation in any run, a run only a sweep
+// makes included, is printed and fails the command.
 func TestReportViolations(t *testing.T) {
-	s := tdnuca.Suite{
-		"LU": {
-			tdnuca.SNUCA:  {Benchmark: "LU", Policy: tdnuca.SNUCA},
-			tdnuca.TDNUCA: {Benchmark: "LU", Policy: tdnuca.TDNUCA, Violations: []string{"stale read"}},
-		},
-		"MD5": {tdnuca.SNUCA: {Benchmark: "MD5", Policy: tdnuca.SNUCA}},
+	results := []tdnuca.Result{
+		{Benchmark: "LU", Policy: tdnuca.SNUCA},
+		{Benchmark: "LU", Policy: tdnuca.TDNoISA, Violations: []string{"stale read"}},
+		{Benchmark: "MD5", Policy: tdnuca.SNUCA},
 	}
 	var stderr bytes.Buffer
-	if err := reportViolations(&stderr, s); !errors.Is(err, errViolations) {
+	if err := reportViolations(&stderr, results); !errors.Is(err, errViolations) {
 		t.Errorf("got %v, want the violations error", err)
 	}
-	if got, want := stderr.String(), "COHERENCE VIOLATION LU/TD-NUCA: stale read\n"; got != want {
+	if got, want := stderr.String(), "COHERENCE VIOLATION LU/TD-NUCA (runtime only): stale read\n"; got != want {
 		t.Errorf("stderr = %q, want %q", got, want)
 	}
-	delete(s, "LU")
-	if err := reportViolations(&stderr, s); err != nil {
-		t.Errorf("clean suite: %v", err)
+	if err := reportViolations(&stderr, results[:1]); err != nil {
+		t.Errorf("clean runs: %v", err)
+	}
+}
+
+// TestFiguresReturnSweepRuns: figure mode hands every run of its batch
+// to reportViolations, including the runs only a sweep makes (here the
+// runtime-overhead study's TD-NUCA (runtime only) runs), so a violation
+// in one of them fails the command.
+func TestFiguresReturnSweepRuns(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	c := &cli{stdout: &stdout, stderr: &stderr, fig: "rtoverhead", workers: 2, cfg: tdnuca.DefaultExperimentConfig()}
+	c.cfg.Factor = 1.0 / 128
+	results, err := c.runFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 16 {
+		t.Fatalf("figure mode returned %d runs, want 16", len(results))
+	}
+	i := slices.IndexFunc(results, func(r tdnuca.Result) bool { return r.Policy == tdnuca.TDNoISA })
+	if i < 0 {
+		t.Fatal("no TD-NUCA (runtime only) run returned")
+	}
+	if err := reportViolations(&stderr, results); err != nil {
+		t.Fatalf("healthy runs: %v", err)
+	}
+	results[i].Violations = []string{"stale read"}
+	if err := reportViolations(&stderr, results); !errors.Is(err, errViolations) {
+		t.Errorf("sweep-only violation: got %v, want the violations error", err)
 	}
 }

@@ -110,30 +110,24 @@ func ExperimentWorkers() int { return harness.DefaultWorkers() }
 
 // The figure and table generators of the paper's evaluation section.
 // Fig3 and Figs. 8-14 need a Suite with SNUCA, RNUCA and TDNUCA results;
-// Fig15 additionally needs TDBypassOnly.
+// Fig15 additionally needs TDBypassOnly. Table II and the sweeps (RRT
+// latency, runtime overhead, ablation, cluster size, resilience) plan
+// their own runs: tdnuca-experiments -fig/-all regenerates them.
 var (
-	TableI  = harness.TableI
-	TableII = harness.TableII
-	Fig3    = harness.Fig3
-	Fig8    = harness.Fig8
-	Fig9    = harness.Fig9
-	Fig10   = harness.Fig10
-	Fig11   = harness.Fig11
-	Fig12   = harness.Fig12
-	Fig13   = harness.Fig13
-	Fig14   = harness.Fig14
-	Fig15   = harness.Fig15
+	TableI = harness.TableI
+	Fig3   = harness.Fig3
+	Fig8   = harness.Fig8
+	Fig9   = harness.Fig9
+	Fig10  = harness.Fig10
+	Fig11  = harness.Fig11
+	Fig12  = harness.Fig12
+	Fig13  = harness.Fig13
+	Fig14  = harness.Fig14
+	Fig15  = harness.Fig15
 
 	// Sec. V-E design trade-off studies.
-	RRTLatencySweep      = harness.RRTLatencySweep
-	OccupancyTable       = harness.OccupancyTable
-	FlushOverheadTable   = harness.FlushOverheadTable
-	RuntimeOverheadTable = harness.RuntimeOverheadTable
-
-	// Ablations of this reproduction's documented design choices
-	// (DESIGN.md §6) and of the replication cluster geometry.
-	AblationTable = harness.AblationTable
-	ClusterSweep  = harness.ClusterSweep
+	OccupancyTable     = harness.OccupancyTable
+	FlushOverheadTable = harness.FlushOverheadTable
 
 	// CycleStackTable renders Result.Stack for every run of a Suite
 	// (DESIGN.md §10).
@@ -150,9 +144,6 @@ type FaultScenario = faults.Scenario
 // FaultEvent is one scheduled fault of a FaultScenario.
 type FaultEvent = faults.Event
 
-// ResilienceReport is a full graceful-degradation sweep; see ResilienceSweep.
-type ResilienceReport = harness.ResilienceReport
-
 // ParseFaults reads the -faults CLI syntax, e.g.
 // "bank=3@20000,link=1-2@50000,rrt=8@80000" (and "rrt=core:cap@cycle"
 // for a single core).
@@ -167,11 +158,4 @@ func DefaultFaults(cfg *Config, seed uint64) *FaultScenario { return faults.Defa
 // 0 none, 1 bank retirement, 2 adds a link failure, 3 adds RRT halving.
 func FaultsAtSeverity(cfg *Config, seed uint64, severity int) *FaultScenario {
 	return faults.ScenarioAt(cfg, seed, severity)
-}
-
-// ResilienceSweep measures graceful degradation: every benchmark under
-// each policy at fault severities 0..maxSeverity, reporting makespan and
-// NoC-traffic inflation relative to the healthy run.
-func ResilienceSweep(cfg ExperimentConfig, seed uint64, maxSeverity, workers int, kinds ...PolicyKind) (*ResilienceReport, error) {
-	return harness.ResilienceSweep(cfg, seed, maxSeverity, workers, kinds...)
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"tdnuca/internal/faults"
@@ -53,26 +53,25 @@ type ResiliencePoint struct {
 
 // ResilienceReport is a full sweep: every benchmark x policy x severity.
 type ResilienceReport struct {
-	Seed       uint64
-	Severities []int
-	Points     []ResiliencePoint
+	Seed   uint64
+	Points []ResiliencePoint
 }
 
-// ResilienceSweep measures graceful degradation: every Table II
-// benchmark under each policy at fault severities 0 (healthy) through
-// maxSeverity (faults.ScenarioAt's ladder: bank retirement, then a dead
-// link, then halved RRTs), all runs fanned out over the worker pool.
-// Scenario choices are drawn from seed, so the whole report is
-// deterministic and digest-stable.
-func ResilienceSweep(cfg Config, seed uint64, maxSeverity, workers int, kinds ...PolicyKind) (*ResilienceReport, error) {
-	rep := &ResilienceReport{Seed: seed}
-	for s := 0; s <= maxSeverity; s++ {
-		rep.Severities = append(rep.Severities, s)
-	}
+// resilienceMaxSeverity is the highest rung of faults.ScenarioAt's
+// ladder the resilience study climbs.
+const resilienceMaxSeverity = 3
+
+// resilienceSweep plans the graceful-degradation study: every Table II
+// benchmark under S-NUCA, R-NUCA and TD-NUCA at fault severities 0
+// (healthy) through resilienceMaxSeverity (faults.ScenarioAt's ladder:
+// bank retirement, then a dead link, then halved RRTs). Scenario
+// choices are drawn from seed, so the whole report is deterministic and
+// digest-stable.
+func resilienceSweep(cfg Config, seed uint64) ([]Job, func([]Result) string, error) {
 	var jobs []Job
 	for _, bench := range workloads.Names() {
-		for _, k := range kinds {
-			for _, s := range rep.Severities {
+		for _, k := range coreKinds {
+			for s := 0; s <= resilienceMaxSeverity; s++ {
 				jobs = append(jobs, Job{
 					Bench: bench, Kind: k, Cfg: cfg,
 					Faults: faults.ScenarioAt(&cfg.Arch, seed, s),
@@ -80,28 +79,25 @@ func ResilienceSweep(cfg Config, seed uint64, maxSeverity, workers int, kinds ..
 			}
 		}
 	}
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	base := make(map[string]Result) // "bench/policy" -> severity-0 run
-	for i, j := range jobs {
-		if len(j.Faults.Events) == 0 {
-			base[j.Bench+"/"+string(j.Kind)] = results[i]
-		}
-	}
-	for i, j := range jobs {
-		r := results[i]
+	return jobs, func(results []Result) string { return resilience(seed, results).String() + "\n" }, nil
+}
+
+// resilience assembles the resilience study's report from its plan's
+// results, each benchmark and policy's severities in ascending order.
+func resilience(seed uint64, results []Result) *ResilienceReport {
+	rep := &ResilienceReport{Seed: seed}
+	for i, r := range results {
+		sev := i % (resilienceMaxSeverity + 1)
 		p := ResiliencePoint{
-			Benchmark:  j.Bench,
-			Policy:     j.Kind,
-			Severity:   rep.Severities[i%len(rep.Severities)],
+			Benchmark:  r.Benchmark,
+			Policy:     r.Policy,
+			Severity:   sev,
 			Cycles:     r.Cycles,
 			ByteHops:   r.DataMovement,
 			Faults:     r.Faults.Stats,
 			Violations: len(r.Violations),
 		}
-		if b, ok := base[j.Bench+"/"+string(j.Kind)]; ok && b.Cycles > 0 {
+		if b := results[i-sev]; b.Cycles > 0 {
 			p.MakespanX = float64(r.Cycles) / float64(b.Cycles)
 			if b.DataMovement > 0 {
 				p.TrafficX = float64(r.DataMovement) / float64(b.DataMovement)
@@ -109,7 +105,7 @@ func ResilienceSweep(cfg Config, seed uint64, maxSeverity, workers int, kinds ..
 		}
 		rep.Points = append(rep.Points, p)
 	}
-	return rep, nil
+	return rep
 }
 
 // String renders the report as the resilience table of EXPERIMENTS.md:
@@ -119,23 +115,14 @@ func (rep *ResilienceReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Resilience sweep (fault seed %d): makespan and NoC traffic vs fault severity\n", rep.Seed)
 	b.WriteString("severity ladder: 0 healthy; 1 +bank retired; 2 +link dead; 3 +RRTs halved\n\n")
-	byBench := make(map[string][]ResiliencePoint)
-	var benches []string
-	for _, p := range rep.Points {
-		if _, ok := byBench[p.Benchmark]; !ok {
-			benches = append(benches, p.Benchmark)
-		}
-		byBench[p.Benchmark] = append(byBench[p.Benchmark], p)
-	}
-	sort.Strings(benches)
 	fmt.Fprintf(&b, "%-12s %-22s %4s %14s %10s %12s %10s %6s\n",
 		"benchmark", "policy", "sev", "cycles", "makespan", "byte-hops", "traffic", "viol")
-	for _, bench := range benches {
-		for _, p := range byBench[bench] {
-			fmt.Fprintf(&b, "%-12s %-22s %4d %14d %9.3fx %12d %9.3fx %6d\n",
-				p.Benchmark, p.Policy, p.Severity, uint64(p.Cycles),
-				p.MakespanX, p.ByteHops, p.TrafficX, p.Violations)
-		}
+	points := slices.Clone(rep.Points)
+	slices.SortStableFunc(points, func(p, q ResiliencePoint) int { return strings.Compare(p.Benchmark, q.Benchmark) })
+	for _, p := range points {
+		fmt.Fprintf(&b, "%-12s %-22s %4d %14d %9.3fx %12d %9.3fx %6d\n",
+			p.Benchmark, p.Policy, p.Severity, uint64(p.Cycles),
+			p.MakespanX, p.ByteHops, p.TrafficX, p.Violations)
 	}
 	return b.String()
 }

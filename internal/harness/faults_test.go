@@ -157,13 +157,10 @@ func TestDegradedRejectsBadInput(t *testing.T) {
 // normalization point (ratios exactly 1), ratios stay positive, and the
 // sweep covers the full cross-product.
 func TestResilienceSweep(t *testing.T) {
-	cfg := goldenCfg()
-	rep, err := ResilienceSweep(cfg, faultSeed, 3, 0, TDNUCA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _, results := runFigure(t, "resilience", goldenCfg())
+	rep := resilience(faultSeed, results)
 	const benches = 8
-	if want := benches * 1 * 4; len(rep.Points) != want {
+	if want := benches * len(coreKinds) * 4; len(rep.Points) != want {
 		t.Fatalf("sweep has %d points, want %d", len(rep.Points), want)
 	}
 	for _, p := range rep.Points {
@@ -187,7 +184,7 @@ func TestResilienceSweep(t *testing.T) {
 			t.Errorf("%s/%s sev %d: %d violations", p.Benchmark, p.Policy, p.Severity, p.Violations)
 		}
 	}
-	if s := rep.String(); !strings.Contains(s, "Resilience sweep") || !strings.Contains(s, "TD-NUCA") {
+	if !strings.Contains(s, "Resilience sweep") || !strings.Contains(s, "TD-NUCA") {
 		t.Errorf("report rendering incomplete:\n%s", s)
 	}
 }

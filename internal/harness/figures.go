@@ -2,10 +2,113 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"tdnuca/internal/stats"
 	"tdnuca/internal/workloads"
 )
+
+// Figure is one table or figure of the evaluation. Plan lists the jobs
+// it needs at cfg (faultSeed seeds the resilience study's scenarios)
+// and returns a function that renders it, as the text the command
+// prints, from their results in job order.
+type Figure struct {
+	Name string
+	Plan func(cfg Config, faultSeed uint64) ([]Job, func([]Result) string, error)
+}
+
+// coreKinds are the policies of the figure suite: every suite figure
+// but Fig. 15 and the cycle stacks reads only these.
+var coreKinds = []PolicyKind{SNUCA, RNUCA, TDNUCA}
+
+// Figures is every table and figure of the evaluation, in the order
+// tdnuca-experiments -all prints them.
+var Figures = []Figure{
+	{"table1", func(cfg Config, _ uint64) ([]Job, func([]Result) string, error) {
+		return nil, func([]Result) string { return TableI(cfg).String() + "\n" }, nil
+	}},
+	{"table2", tableII},
+	{"3", suitePlan(table(Fig3), coreKinds...)},
+	{"8", suitePlan(table(Fig8), coreKinds...)},
+	{"9", suitePlan(table(Fig9), coreKinds...)},
+	{"10", suitePlan(table(Fig10), coreKinds...)},
+	{"11", suitePlan(table(Fig11), coreKinds...)},
+	{"12", suitePlan(table(Fig12), coreKinds...)},
+	{"13", suitePlan(table(Fig13), coreKinds...)},
+	{"14", suitePlan(table(Fig14), coreKinds...)},
+	{"15", suitePlan(table(Fig15), SNUCA, TDNUCA, TDBypassOnly)},
+	{"occupancy", suitePlan(table(OccupancyTable), coreKinds...)},
+	{"flush", suitePlan(table(FlushOverheadTable), coreKinds...)},
+	{"cyclestack", suitePlan(table(CycleStackTable), SNUCA, RNUCA, TDNUCA, TDBypassOnly)},
+	{"rrt", rrtLatencySweep},
+	{"rtoverhead", runtimeOverheadTable},
+	{"ablation", ablationTable},
+	{"clusters", clusterSweep},
+	{"resilience", resilienceSweep},
+}
+
+// DigestFigure renders the DigestSuite of the figure suite's S-NUCA,
+// R-NUCA and TD-NUCA runs: the behavioral fingerprint -digest prints
+// after the figures.
+var DigestFigure = Figure{"digest", suitePlan(func(s Suite) string { return DigestSuite(s).String() }, coreKinds...)}
+
+// suitePlan plans a figure drawn from the figure suite: every Table II
+// benchmark under kinds at the run's configuration.
+func suitePlan(draw func(Suite) string, kinds ...PolicyKind) func(Config, uint64) ([]Job, func([]Result) string, error) {
+	return func(cfg Config, _ uint64) ([]Job, func([]Result) string, error) {
+		jobs := suiteJobs(Job{Cfg: cfg}, kinds...)
+		return jobs, func(results []Result) string { return draw(assembleSuite(jobs, results)) }, nil
+	}
+}
+
+// table renders a table generator's output as the command prints it.
+func table(gen func(Suite) stats.Table) func(Suite) string {
+	return func(s Suite) string { return gen(s).String() + "\n" }
+}
+
+// RunFigures runs figs as one batch: it concatenates their plans' jobs,
+// simulates each distinct job once in a single RunMany call (workers as
+// there), and renders every figure from its own jobs' results. It
+// returns the renderings in figs order, and the batch's distinct jobs
+// with their results. Jobs are the same run when reflect.DeepEqual, so
+// a func field set in cfg.RT (never equal) only stops the sharing.
+func RunFigures(figs []Figure, cfg Config, faultSeed uint64, workers int) ([]string, []Job, []Result, error) {
+	var batch []Job
+	byRun := map[string][]int{} // bench/kind -> batch indices
+	picks := make([][]int, len(figs))
+	renders := make([]func([]Result) string, len(figs))
+	for fi, f := range figs {
+		jobs, render, err := f.Plan(cfg, faultSeed)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		renders[fi] = render
+		for _, j := range jobs {
+			key := j.Bench + "/" + string(j.Kind)
+			k := slices.IndexFunc(byRun[key], func(i int) bool { return reflect.DeepEqual(batch[i], j) })
+			if k < 0 {
+				k = len(byRun[key])
+				byRun[key] = append(byRun[key], len(batch))
+				batch = append(batch, j)
+			}
+			picks[fi] = append(picks[fi], byRun[key][k])
+		}
+	}
+	results, err := RunMany(batch, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	texts := make([]string, len(figs))
+	for fi, render := range renders {
+		mine := make([]Result, len(picks[fi]))
+		for k, i := range picks[fi] {
+			mine[k] = results[i]
+		}
+		texts[fi] = render(mine)
+	}
+	return texts, batch, results, nil
+}
 
 // TableI renders the simulator configuration (Table I) for a Config.
 func TableI(cfg Config) stats.Table {
@@ -25,30 +128,24 @@ func TableI(cfg Config) stats.Table {
 	return t
 }
 
-// TableII runs every benchmark once (under S-NUCA, workers as in
-// RunMany) and reports the scaled problem geometry: input size, task
-// count and average task size.
-func TableII(cfg Config, workers int) (stats.Table, error) {
-	t := stats.Table{
-		Title:  fmt.Sprintf("Table II: benchmarks at memory factor %.4f", float64(cfg.Factor)),
-		Header: []string{"Bench", "Problem set", "Input (MB)", "Tasks", "Avg task (KB)"},
-	}
-	var jobs []Job
-	for _, name := range workloads.Names() {
-		jobs = append(jobs, Job{Bench: name, Kind: SNUCA, Cfg: cfg})
-	}
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return t, err
-	}
-	for i, spec := range workloads.All(cfg.Factor) {
-		r := results[i]
-		t.AddRow(spec.Name, spec.Problem,
-			fmt.Sprintf("%.2f", float64(spec.InputBytes)/(1<<20)),
-			fmt.Sprintf("%d", r.Tasks),
-			fmt.Sprintf("%.0f", r.AvgTaskKB))
-	}
-	return t, nil
+// tableII plans Table II: every benchmark once, under S-NUCA, reporting
+// the scaled problem geometry: input size, task count and average task
+// size.
+func tableII(cfg Config, _ uint64) ([]Job, func([]Result) string, error) {
+	return suiteJobs(Job{Cfg: cfg}, SNUCA), func(results []Result) string {
+		t := stats.Table{
+			Title:  fmt.Sprintf("Table II: benchmarks at memory factor %.4f", float64(cfg.Factor)),
+			Header: []string{"Bench", "Problem set", "Input (MB)", "Tasks", "Avg task (KB)"},
+		}
+		for i, spec := range workloads.All(cfg.Factor) {
+			r := results[i]
+			t.AddRow(spec.Name, spec.Problem,
+				fmt.Sprintf("%.2f", float64(spec.InputBytes)/(1<<20)),
+				fmt.Sprintf("%d", r.Tasks),
+				fmt.Sprintf("%.0f", r.AvgTaskKB))
+		}
+		return t.String() + "\n"
+	}, nil
 }
 
 // Fig3 reports the classification coverage of R-NUCA versus TD-NUCA:
@@ -217,61 +314,38 @@ func Fig15(s Suite) stats.Table {
 	return t
 }
 
-// RRTLatencySweep reproduces the Sec. V-E study: TD-NUCA with RRT
-// latencies 0-4 cycles, reporting the average slowdown versus the ideal
-// zero-latency RRT (workers as in RunMany).
-func RRTLatencySweep(cfg Config, latencies []int, workers int) (stats.Table, error) {
-	t := stats.Table{
-		Title:  "Sec. V-E: performance overhead of RRT latency (vs 0-cycle RRT)",
-		Header: []string{"RRT latency", "avg slowdown", "paper"},
-	}
-	// One flat batch: the zero-latency baselines first, then every
-	// non-zero latency's full benchmark set.
-	cfg0 := cfg
-	cfg0.Arch.RRTLatency = 0
-	var jobs []Job
-	for _, b := range PaperBenchOrder {
-		jobs = append(jobs, Job{Bench: b, Kind: TDNUCA, Cfg: cfg0})
-	}
-	var swept []int
-	for _, lat := range latencies {
-		if lat == 0 {
-			continue
-		}
+// rrtLatencies are the RRT access times, in cycles, of the Sec. V-E
+// latency study; the first, 0, is its baseline.
+var rrtLatencies = []int{0, 1, 2, 3, 4}
+
+// rrtLatencySweep plans the Sec. V-E study: TD-NUCA at each of
+// rrtLatencies, reporting the average slowdown versus the ideal
+// zero-latency RRT.
+func rrtLatencySweep(cfg Config, _ uint64) ([]Job, func([]Result) string, error) {
+	var jobs []Job // one benchmark set per latency, the 0-cycle baselines first
+	for _, lat := range rrtLatencies {
 		cfgL := cfg
 		cfgL.Arch.RRTLatency = lat
-		swept = append(swept, lat)
-		for _, b := range PaperBenchOrder {
-			jobs = append(jobs, Job{Bench: b, Kind: TDNUCA, Cfg: cfgL})
-		}
+		jobs = append(jobs, suiteJobs(Job{Cfg: cfgL}, TDNUCA)...)
 	}
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return t, err
-	}
-	baselines := results[:len(PaperBenchOrder)]
-	byLat := map[int][]Result{}
-	for i, lat := range swept {
-		start := (i + 1) * len(PaperBenchOrder)
-		byLat[lat] = results[start : start+len(PaperBenchOrder)]
-	}
-	for _, lat := range latencies {
-		if lat == 0 {
-			t.AddRow("0 cycles", "0.00%", stats.Pct(PaperRRTLatencyOverhead[0]))
-			continue
+	return jobs, func(results []Result) string {
+		t := stats.Table{
+			Title:  "Sec. V-E: performance overhead of RRT latency (vs 0-cycle RRT)",
+			Header: []string{"RRT latency", "avg slowdown", "paper"},
 		}
-		var slows []float64
-		for bi := range PaperBenchOrder {
-			slows = append(slows, float64(byLat[lat][bi].Cycles)/float64(baselines[bi].Cycles)-1)
+		t.AddRow("0 cycles", "0.00%", stats.Pct(PaperRRTLatencyOverhead[0]))
+		n := len(PaperBenchOrder)
+		for li := 1; li < len(rrtLatencies); li++ {
+			var slows []float64
+			for bi := range PaperBenchOrder {
+				slows = append(slows, float64(results[li*n+bi].Cycles)/float64(results[bi].Cycles)-1)
+			}
+			lat := rrtLatencies[li]
+			t.AddRow(fmt.Sprintf("%d cycles", lat),
+				fmt.Sprintf("%.2f%%", 100*stats.Mean(slows)), stats.Pct(PaperRRTLatencyOverhead[lat]))
 		}
-		paper := ""
-		if p, ok := PaperRRTLatencyOverhead[lat]; ok {
-			paper = stats.Pct(p)
-		}
-		t.AddRow(fmt.Sprintf("%d cycles", lat),
-			fmt.Sprintf("%.2f%%", 100*stats.Mean(slows)), paper)
-	}
-	return t, nil
+		return t.String() + "\n"
+	}, nil
 }
 
 // OccupancyTable reports RRT occupancy per benchmark (Sec. V-E).
@@ -313,31 +387,23 @@ func FlushOverheadTable(s Suite) stats.Table {
 	return t
 }
 
-// RuntimeOverheadTable reproduces the Sec. V-E runtime-extension
-// overhead study: the TD-NUCA runtime bookkeeping without ISA execution,
-// compared against plain S-NUCA (workers as in RunMany).
-func RuntimeOverheadTable(cfg Config, workers int) (stats.Table, error) {
-	t := stats.Table{
-		Title:  "Sec. V-E: runtime-system extension overhead (no ISA, vs S-NUCA)",
-		Header: []string{"Bench", "overhead", "paper"},
-	}
-	var jobs []Job
-	for _, b := range PaperBenchOrder {
-		jobs = append(jobs,
-			Job{Bench: b, Kind: SNUCA, Cfg: cfg},
-			Job{Bench: b, Kind: TDNoISA, Cfg: cfg})
-	}
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return t, err
-	}
-	var all []float64
-	for i, b := range PaperBenchOrder {
-		base, no := results[2*i], results[2*i+1]
-		ov := float64(no.Cycles)/float64(base.Cycles) - 1
-		all = append(all, ov)
-		t.AddRow(b, fmt.Sprintf("%.3f%%", 100*ov), "<0.03%")
-	}
-	t.AddRow("average", fmt.Sprintf("%.3f%%", 100*stats.Mean(all)), "0.01%")
-	return t, nil
+// runtimeOverheadTable plans the Sec. V-E runtime-extension overhead
+// study: the TD-NUCA runtime bookkeeping without ISA execution,
+// compared against plain S-NUCA.
+func runtimeOverheadTable(cfg Config, _ uint64) ([]Job, func([]Result) string, error) {
+	return suiteJobs(Job{Cfg: cfg}, SNUCA, TDNoISA), func(results []Result) string {
+		t := stats.Table{
+			Title:  "Sec. V-E: runtime-system extension overhead (no ISA, vs S-NUCA)",
+			Header: []string{"Bench", "overhead", "paper"},
+		}
+		var all []float64
+		for i, b := range PaperBenchOrder {
+			base, no := results[2*i], results[2*i+1]
+			ov := float64(no.Cycles)/float64(base.Cycles) - 1
+			all = append(all, ov)
+			t.AddRow(b, fmt.Sprintf("%.3f%%", 100*ov), "<0.03%")
+		}
+		t.AddRow("average", fmt.Sprintf("%.3f%%", 100*stats.Mean(all)), "0.01%")
+		return t.String() + "\n"
+	}, nil
 }

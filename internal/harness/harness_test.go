@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -189,15 +190,79 @@ func TestTableIRendersConfig(t *testing.T) {
 	}
 }
 
-func TestTableII(t *testing.T) {
-	tbl, err := TableII(fastCfg(), 0)
+// runFigure runs the named entry of Figures alone at cfg and returns its
+// text and the batch's distinct jobs and results.
+func runFigure(t *testing.T, name string, cfg Config) (string, []Job, []Result) {
+	t.Helper()
+	texts, jobs, results, err := RunFigures([]Figure{figure(t, name)}, cfg, faultSeed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.String()
+	return texts[0], jobs, results
+}
+
+// figure looks up the named entry of Figures.
+func figure(t *testing.T, name string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", name)
+	return Figure{}
+}
+
+// tableRows splits a rendered table into its header and body rows, one
+// cell per column (cells are separated by at least two spaces).
+func tableRows(text string) (header []string, rows [][]string) {
+	gap := regexp.MustCompile(`\s{2,}`)
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	for i, line := range lines {
+		if i > 0 && line != "" && strings.Trim(line, "-") == "" {
+			header = strings.Fields(lines[i-1])
+			for _, row := range lines[i+1:] {
+				rows = append(rows, gap.Split(row, -1))
+			}
+			break
+		}
+	}
+	return header, rows
+}
+
+func TestTableII(t *testing.T) {
+	s, _, _ := runFigure(t, "table2", fastCfg())
 	for _, b := range workloads.Names() {
 		if !strings.Contains(s, b) {
 			t.Errorf("Table II missing %s:\n%s", b, s)
+		}
+	}
+}
+
+// TestRunFiguresSharesRuns: a batch of figures simulates each distinct
+// job once, and renders every figure exactly as it renders alone.
+func TestRunFiguresSharesRuns(t *testing.T) {
+	cfg := DefaultConfig() // the checker off: this test is raced in CI
+	cfg.Factor = 1.0 / 128
+	names := []string{"8", "ablation", "clusters"}
+	var figs []Figure
+	for _, n := range names {
+		figs = append(figs, figure(t, n))
+	}
+	texts, jobs, results, err := RunFigures(figs, cfg, faultSeed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fig. 8 plans 24 runs (S/R/TD x 8). The ablation's 80 share its
+	// full-design S-NUCA and TD-NUCA runs (16) with Fig. 8; the cluster
+	// sweep's 32 share their S-NUCA baselines and 2x2 column (16). So
+	// 136 planned runs are 24 + 64 + 16 = 104 distinct ones.
+	if len(jobs) != 104 || len(results) != 104 {
+		t.Errorf("batch ran %d jobs (%d results), want 104", len(jobs), len(results))
+	}
+	for i, n := range names {
+		if alone, _, _ := runFigure(t, n, cfg); texts[i] != alone {
+			t.Errorf("figure %s in a batch differs from alone:\n%s\nalone:\n%s", n, texts[i], alone)
 		}
 	}
 }
@@ -222,13 +287,9 @@ func TestRuntimeOverheadSmall(t *testing.T) {
 }
 
 func TestRRTLatencySweepMonotone(t *testing.T) {
-	cfg := fastCfg()
-	tbl, err := RRTLatencySweep(cfg, []int{0, 2, 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("sweep rows = %d:\n%s", len(tbl.Rows), tbl.String())
+	s, _, _ := runFigure(t, "rrt", fastCfg())
+	if _, rows := tableRows(s); len(rows) != len(rrtLatencies) {
+		t.Fatalf("sweep rows = %d:\n%s", len(rows), s)
 	}
 }
 
@@ -248,33 +309,31 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestAblationTable(t *testing.T) {
-	tbl, err := AblationTable(fastCfg(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("ablation rows = %d:\n%s", len(tbl.Rows), tbl.String())
+	s, _, _ := runFigure(t, "ablation", fastCfg())
+	_, rows := tableRows(s)
+	if len(rows) != 5 {
+		t.Fatalf("ablation rows = %d:\n%s", len(rows), s)
 	}
 	// The full design must not lose to the fully-ablated variant on the
 	// headline average (that is the point of the design choices).
-	full, ablated := tbl.Rows[0][1], tbl.Rows[3][1]
+	full, ablated := rows[0][1], rows[3][1]
 	if full < ablated {
 		t.Errorf("full design %s slower than fully ablated %s", full, ablated)
 	}
 }
 
 func TestClusterSweep(t *testing.T) {
-	tbl, err := ClusterSweep(fastCfg(), [][2]int{{1, 1}, {2, 2}, {4, 4}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Header) != 4 || len(tbl.Rows) != 9 {
-		t.Fatalf("cluster sweep shape %dx%d:\n%s", len(tbl.Header), len(tbl.Rows), tbl.String())
+	s, _, _ := runFigure(t, "clusters", fastCfg())
+	if header, rows := tableRows(s); len(header) != 4 || len(rows) != 9 {
+		t.Fatalf("cluster sweep shape %dx%d:\n%s", len(header), len(rows), s)
 	}
 }
 
 func TestClusterSweepRejectsBadDims(t *testing.T) {
-	if _, err := ClusterSweep(fastCfg(), [][2]int{{3, 3}}, 0); err == nil {
-		t.Error("3x3 clusters on a 4x4 mesh accepted")
+	cfg := fastCfg()
+	cfg.Arch = arch.ScaledMeshConfig(6, 6)
+	_, _, _, err := RunFigures([]Figure{figure(t, "clusters")}, cfg, faultSeed, 0)
+	if err == nil || !strings.Contains(err.Error(), "cluster 4x4") {
+		t.Errorf("4x4 clusters on a 6x6 mesh: got %v, want the cluster 4x4 error", err)
 	}
 }

@@ -174,6 +174,18 @@ func RunMany(jobs []Job, workers int) ([]Result, error) {
 // (<= 0 means DefaultWorkers). Each run owns its machine and runtime, so
 // the Suite — and its DigestSuite — is independent of the worker count.
 func RunSuite(proto Job, workers int, kinds ...PolicyKind) (Suite, error) {
+	jobs := suiteJobs(proto, kinds...)
+	results, err := RunMany(jobs, workers)
+	if err != nil {
+		return nil, err
+	}
+	return assembleSuite(jobs, results), nil
+}
+
+// suiteJobs lists every Table II benchmark under each of kinds (the
+// benchmark-major order RunSuite and the figures run), with proto's
+// configuration, fault scenario and tracing.
+func suiteJobs(proto Job, kinds ...PolicyKind) []Job {
 	jobs := make([]Job, 0, len(workloads.Names())*len(kinds))
 	for _, bench := range workloads.Names() {
 		for _, k := range kinds {
@@ -182,11 +194,7 @@ func RunSuite(proto Job, workers int, kinds ...PolicyKind) (Suite, error) {
 			jobs = append(jobs, j)
 		}
 	}
-	results, err := RunMany(jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	return assembleSuite(jobs, results), nil
+	return jobs
 }
 
 // assembleSuite indexes RunMany results back into the Suite map.

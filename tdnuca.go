@@ -16,7 +16,8 @@
 // For the paper's experiments use RunExperiment / RunSuite and the
 // Figure helpers, or the cmd/tdnuca-experiments command: -bench runs one
 // workload under every policy (or one, with -policy), -fig and -all
-// regenerate the tables and figures, -faults runs the degraded suite.
+// regenerate the tables, figures and sweeps as one batch, -faults runs
+// the degraded suite.
 package tdnuca
 
 import (
