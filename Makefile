@@ -39,8 +39,9 @@
 #   make fuzz-smoke  short fuzzes of the workload-generator name parser
 #                    and validator, of the -faults scenario parser, of
 #                    the service's job-spec boundary, of its disk-cache
-#                    header parser and of the client's ndjson stream
-#                    consumer (seed corpora always run under test)
+#                    header parser, of the client's ndjson stream
+#                    consumer and of the TLB against a reference LRU
+#                    model (seed corpora always run under test)
 #   make golden      refresh the golden suite digests (healthy, degraded
 #                    and generated) after an intentional behavioral change
 
@@ -151,8 +152,9 @@ serve-smoke:
 # Short fuzzes of the generator's name parser/validator, of the fault
 # scenario parser (Parse/Validate, String round trip), of the service's
 # job-spec boundary (decode, normalize, address, validate), of its
-# disk-cache header parser (no panic, framing round trip) and of the
-# client's ndjson stream consumer (no panic, success exactly when done);
+# disk-cache header parser (no panic, framing round trip), of the
+# client's ndjson stream consumer (no panic, success exactly when done)
+# and of the TLB (an op stream against a reference true-LRU model);
 # the seed corpora also run on every plain `go test`. The stream seeds
 # are real server streams of up to ~20 KB, and the default minimization
 # of one new input (up to 60s) would use the whole fuzz budget, so that
@@ -163,6 +165,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 10s
 	$(GO) test ./internal/serve -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s
 	$(GO) test ./internal/client -run FuzzAwaitStream -fuzz FuzzAwaitStream -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/vm -run FuzzTLB -fuzz FuzzTLB -fuzztime 10s
 
 # Refreshes every golden file: the healthy suite (golden_suite.txt), the
 # degraded suite (golden_faults.txt) and the generated differential

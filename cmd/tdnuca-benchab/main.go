@@ -195,7 +195,7 @@ type comparison struct {
 // unresolved; a change median worse than the reference's by more than
 // the bound is a regression; a gain needs at least 10 pairs, at least
 // 9 wins in 10 and a gap between the medians wider than the
-// reference's IQR.
+// reference's IQR and at least minGain of the reference median.
 func compare(spec metricSpec, ref, chg []float64) comparison {
 	c := comparison{n: len(ref)}
 	var q1, q3 float64
@@ -222,7 +222,7 @@ func compare(spec metricSpec, ref, chg []float64) comparison {
 	if c.refMed != 0 {
 		worse = -gap / math.Abs(c.refMed)
 	}
-	gain := c.n >= 10 && c.wins*10 >= 9*c.n && gap > c.refIQR
+	gain := c.n >= 10 && c.wins*10 >= 9*c.n && gap > c.refIQR && gap >= minGain*math.Abs(c.refMed)
 	switch {
 	case c.refMed != 0 && c.refIQR/math.Abs(c.refMed) > spec.Bound:
 		c.verdict = "unresolved: ref spread over bound"
@@ -235,6 +235,13 @@ func compare(spec metricSpec, ref, chg []float64) comparison {
 	}
 	return c
 }
+
+// minGain is the least median gap, as a share of the reference median,
+// that compare calls a gain. Two identical arms can differ consistently
+// by less: each side's process allocates a few hundredths of a percent
+// differently, so a tight IQR and 9 wins in 10 alone would read such a
+// gap as a gain.
+const minGain = 0.005
 
 // bandTarget is the least coverage ratioBand accepts. With 10 pairs the
 // tightest band that reaches it is the 3rd to 8th order statistic, at

@@ -63,6 +63,30 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 }
 
+// TestCompareNullAllocGap feeds compare the null A/B's alloc_mb sample:
+// two identical arms whose medians differ by 0.05% with the change
+// lower in 9 of 10 pairs and a tight reference IQR. A gap below minGain
+// of the median is no gain.
+func TestCompareNullAllocGap(t *testing.T) {
+	spec := metricSpec{Name: "alloc_mb", Better: "lower", Bound: 0.02}
+	ref := []float64{61.17, 61.18, 61.19, 61.18, 61.17, 61.18, 61.19, 61.18, 61.16, 61.18}
+	chg := []float64{61.15, 61.14, 61.15, 61.16, 61.15, 61.15, 61.16, 61.14, 61.17, 61.15}
+	c := compare(spec, ref, chg)
+	if c.wins != 9 || c.chgMed-c.refMed > -c.refIQR {
+		t.Fatalf("sample does not pass the wins and IQR tests: %d wins, medians %.3f/%.3f, ref IQR %.4f", c.wins, c.refMed, c.chgMed, c.refIQR)
+	}
+	if c.verdict != "within bound" {
+		t.Errorf("null alloc_mb gap: verdict %q, want \"within bound\"", c.verdict)
+	}
+	// The same sample scaled to a 1% gap is a gain.
+	for i := range chg {
+		chg[i] = ref[i] * 0.99
+	}
+	if c := compare(spec, ref, chg); !strings.HasPrefix(c.verdict, "gain") {
+		t.Errorf("1%% gap: verdict %q, want a gain", c.verdict)
+	}
+}
+
 // TestRatioBand checks the sign-test band against hand-computed order
 // statistics and coverages: C(n, i)/2^n summed by hand for each n.
 func TestRatioBand(t *testing.T) {

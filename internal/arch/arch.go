@@ -12,6 +12,7 @@ import (
 
 	"tdnuca/internal/amath"
 	"tdnuca/internal/cache"
+	"tdnuca/internal/vm"
 )
 
 // Config carries every architectural parameter of the simulated machine.
@@ -332,8 +333,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("arch: L1 (%dB) larger than one LLC bank (%dB): the inclusive LLC could not back the private cache",
 			c.L1Bytes, c.LLCBankBytes)
 	}
-	if c.TLBEntries <= 0 {
-		return fmt.Errorf("arch: TLBEntries must be positive")
+	if c.TLBEntries <= 0 || c.TLBEntries > vm.MaxTLBEntries {
+		return fmt.Errorf("arch: TLBEntries (%d) must lie in [1, %d] (the TLB's 16-bit slot links)", c.TLBEntries, vm.MaxTLBEntries)
 	}
 	// RRTEntries == 0 means "no RRT" and is valid at the arch level:
 	// policies that use an RRT reject it at construction (tdnuca.NewSystem

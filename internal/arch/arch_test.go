@@ -1,10 +1,12 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"tdnuca/internal/cache"
+	"tdnuca/internal/vm"
 )
 
 func TestDefaultConfigIsTableI(t *testing.T) {
@@ -58,6 +60,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"L1 not divisible":   func(c *Config) { c.L1Bytes = 1000 },
 		"LLC not divisible":  func(c *Config) { c.LLCBankBytes = 3000 },
 		"zero TLB":           func(c *Config) { c.TLBEntries = 0 },
+		"TLB over max":       func(c *Config) { c.TLBEntries = vm.MaxTLBEntries + 1 },
 		"negative RRT":       func(c *Config) { c.RRTEntries = -1 },
 		"negative RRT lat":   func(c *Config) { c.RRTLatency = -1 },
 		"zero banks":         func(c *Config) { c.NumCores, c.MeshWidth, c.MeshHeight = 0, 0, 0 },
@@ -320,5 +323,30 @@ func TestParseMesh(t *testing.T) {
 		if w, h, err := ParseMesh(s); err == nil {
 			t.Errorf("ParseMesh(%q) = %d, %d; want an error", s, w, h)
 		}
+	}
+}
+
+// TestValidateTLBEntriesBound: Validate accepts exactly the TLB sizes
+// vm.NewTLB builds, and rejects a larger one with an error, not a panic.
+func TestValidateTLBEntriesBound(t *testing.T) {
+	for _, n := range []int{1, 3, 64, 1000, vm.MaxTLBEntries} {
+		c := DefaultConfig()
+		c.TLBEntries = n
+		if err := c.Validate(); err != nil {
+			t.Errorf("TLBEntries %d: %v", n, err)
+			continue
+		}
+		tlb := vm.NewTLB(c.TLBEntries)
+		for p := uint64(0); p <= uint64(n); p++ {
+			tlb.Access(p)
+		}
+		if tlb.Len() != n {
+			t.Errorf("TLBEntries %d: %d resident after %d distinct pages", n, tlb.Len(), n+1)
+		}
+	}
+	c := DefaultConfig()
+	c.TLBEntries = vm.MaxTLBEntries + 1
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "TLBEntries") {
+		t.Errorf("TLBEntries %d: Validate = %v, want an error naming TLBEntries", c.TLBEntries, err)
 	}
 }

@@ -27,41 +27,72 @@ type RRTEntry struct {
 // performing range lookups on private-cache misses and writebacks. It has
 // no replacement policy: when full, registrations fail and the affected
 // ranges simply fall back to address interleaving (Sec. III-B2).
+//
+// The hardware matches every entry in parallel. The model keeps entry i
+// as parallel arrays — bounds lo[i], hi[i] (end precomputed), asid[i]
+// and mask[i] — so a match walks two dense 8-byte-per-entry address
+// arrays and reads the ASID and the 32-byte mask only on a candidate.
+// Entries stay in insertion order (SetCapacity and EntriesOf depend on
+// it).
 type RRT struct {
 	capacity int
-	entries  []RRTEntry
+	lo, hi   []amath.Addr // entry i covers physical [lo[i], hi[i])
+	asid     []int
+	mask     []arch.Mask
 
-	lookups        uint64
-	hits           uint64
-	insertFailures uint64
-	occSum         uint64 // integral of occupancy sampled at each mutation
-	occSamples     uint64
-	maxOcc         int
+	occSum     uint64 // integral of occupancy sampled at each mutation
+	occSamples uint64
+	maxOcc     int
 }
 
 // NewRRT creates an RRT with the given number of entries.
 func NewRRT(capacity int) *RRT {
-	return &RRT{capacity: capacity, entries: make([]RRTEntry, 0, capacity)}
+	return &RRT{
+		capacity: capacity,
+		lo:       make([]amath.Addr, 0, capacity),
+		hi:       make([]amath.Addr, 0, capacity),
+		asid:     make([]int, 0, capacity),
+		mask:     make([]arch.Mask, 0, capacity),
+	}
 }
 
 // Len returns the current number of entries.
-func (r *RRT) Len() int { return len(r.entries) }
+func (r *RRT) Len() int { return len(r.lo) }
 
 // Capacity returns the maximum number of entries.
 func (r *RRT) Capacity() int { return r.capacity }
+
+// entry returns entry i as an RRTEntry.
+func (r *RRT) entry(i int) RRTEntry {
+	return RRTEntry{
+		Range: amath.Range{Start: r.lo[i], Size: uint64(r.hi[i] - r.lo[i])},
+		Mask:  r.mask[i],
+		ASID:  r.asid[i],
+	}
+}
 
 // Lookup performs the range match for a physical address on behalf of
 // the given process: it returns the BankMask of the first matching entry
 // tagged with that ASID and whether any entry matched.
 func (r *RRT) Lookup(asid int, pa amath.Addr) (arch.Mask, bool) {
-	r.lookups++
-	for i := range r.entries {
-		if r.entries[i].ASID == asid && r.entries[i].Range.Contains(pa) {
-			r.hits++
-			return r.entries[i].Mask, true
+	hi := r.hi[:len(r.lo)]
+	for i, lo := range r.lo {
+		if b2u(pa >= lo)&b2u(pa < hi[i]) != 0 && r.asid[i] == asid {
+			return r.mask[i], true
 		}
 	}
 	return arch.Mask{}, false
+}
+
+// b2u is 1 for true and 0 for false. The scans combine their two bound
+// compares with it instead of &&: whether an entry lies below a query is
+// a coin flip the branch predictor cannot learn, while "both bounds
+// hold" is rare and well predicted.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Insert registers a physical range with its BankMask under the given
@@ -72,11 +103,13 @@ func (r *RRT) Insert(asid int, rng amath.Range, mask arch.Mask) bool {
 	if rng.IsEmpty() {
 		return true
 	}
-	if len(r.entries) >= r.capacity {
-		r.insertFailures++
+	if len(r.lo) >= r.capacity {
 		return false
 	}
-	r.entries = append(r.entries, RRTEntry{Range: rng, Mask: mask, ASID: asid})
+	r.lo = append(r.lo, rng.Start)
+	r.hi = append(r.hi, rng.End())
+	r.asid = append(r.asid, asid)
+	r.mask = append(r.mask, mask)
 	r.sample()
 	return true
 }
@@ -84,33 +117,52 @@ func (r *RRT) Insert(asid int, rng amath.Range, mask arch.Mask) bool {
 // RemoveOverlapping de-registers every entry of the process whose range
 // overlaps the given physical range (tdnuca_invalidate), returning how
 // many entries were removed. A miss is a read-only scan; on a hit the
-// entries from the first match on are compacted in place, keeping
-// insertion order (SetCapacity and EntriesOf depend on it).
+// runs of surviving entries move down in place, keeping insertion order.
 func (r *RRT) RemoveOverlapping(asid int, rng amath.Range) int {
+	if rng.IsEmpty() {
+		return 0
+	}
+	start, end := rng.Start, rng.End()
+	n := len(r.lo)
+	hi := r.hi[:n]
+	overlaps := func(i int) bool { return b2u(r.lo[i] < end)&b2u(start < hi[i]) != 0 && r.asid[i] == asid }
 	first := 0
-	for first < len(r.entries) && !r.entries[first].overlaps(asid, rng) {
+	for first < n && !overlaps(first) {
 		first++
 	}
-	if first == len(r.entries) {
+	if first == n {
 		return 0
 	}
 	kept := first
-	for i := first + 1; i < len(r.entries); i++ {
-		if !r.entries[i].overlaps(asid, rng) {
-			r.entries[kept] = r.entries[i]
-			kept++
+	for i := first + 1; i <= n; i++ {
+		// Entries [i, j) survive; entry j, if any, overlaps.
+		j := i
+		for j < n && !overlaps(j) {
+			j++
 		}
+		r.move(kept, i, j)
+		kept += j - i
+		i = j
 	}
-	removed := len(r.entries) - kept
-	r.entries = r.entries[:kept]
+	r.truncate(kept)
 	r.sample()
-	return removed
+	return n - kept
 }
 
-// overlaps reports whether the entry belongs to the process and its range
-// overlaps rng.
-func (e *RRTEntry) overlaps(asid int, rng amath.Range) bool {
-	return e.ASID == asid && e.Range.Overlaps(rng)
+// move copies entries [from, to) down to dst (dst <= from).
+func (r *RRT) move(dst, from, to int) {
+	if dst == from {
+		return
+	}
+	copy(r.lo[dst:], r.lo[from:to])
+	copy(r.hi[dst:], r.hi[from:to])
+	copy(r.asid[dst:], r.asid[from:to])
+	copy(r.mask[dst:], r.mask[from:to])
+}
+
+// truncate keeps the first n entries.
+func (r *RRT) truncate(n int) {
+	r.lo, r.hi, r.asid, r.mask = r.lo[:n], r.hi[:n], r.asid[:n], r.mask[:n]
 }
 
 // RemoveWithBank de-registers every entry whose BankMask names the given
@@ -119,17 +171,16 @@ func (e *RRTEntry) overlaps(asid int, rng amath.Range) bool {
 // bank must fall back to address interleaving (the paper's RRT-miss
 // fallback path). Bypass entries (empty mask) never match.
 func (r *RRT) RemoveWithBank(bank int) int {
-	kept := r.entries[:0]
-	removed := 0
-	for _, e := range r.entries {
-		if e.Mask.Has(bank) {
-			removed++
-		} else {
-			kept = append(kept, e)
+	kept := 0
+	for i := range r.mask {
+		if !r.mask[i].Has(bank) {
+			r.move(kept, i, i+1)
+			kept++
 		}
 	}
-	r.entries = kept
+	removed := len(r.mask) - kept
 	if removed > 0 {
+		r.truncate(kept)
 		r.sample()
 	}
 	return removed
@@ -145,11 +196,14 @@ func (r *RRT) SetCapacity(newCap int) []RRTEntry {
 		newCap = 0
 	}
 	r.capacity = newCap
-	if len(r.entries) <= newCap {
+	if len(r.lo) <= newCap {
 		return nil
 	}
-	evicted := append([]RRTEntry(nil), r.entries[newCap:]...)
-	r.entries = r.entries[:newCap]
+	evicted := make([]RRTEntry, 0, len(r.lo)-newCap)
+	for i := newCap; i < len(r.lo); i++ {
+		evicted = append(evicted, r.entry(i))
+	}
+	r.truncate(newCap)
 	r.sample()
 	return evicted
 }
@@ -158,16 +212,16 @@ func (r *RRT) SetCapacity(newCap int) []RRTEntry {
 // thread migration to move a process's mappings between cores.
 func (r *RRT) EntriesOf(asid int) []RRTEntry {
 	var out []RRTEntry
-	for _, e := range r.entries {
-		if e.ASID == asid {
-			out = append(out, e)
+	for i, a := range r.asid {
+		if a == asid {
+			out = append(out, r.entry(i))
 		}
 	}
 	return out
 }
 
 func (r *RRT) sample() {
-	n := len(r.entries)
+	n := len(r.lo)
 	r.occSum += uint64(n)
 	r.occSamples++
 	if n > r.maxOcc {
@@ -186,13 +240,3 @@ func (r *RRT) AvgOccupancy() float64 {
 
 // MaxOccupancy returns the peak number of entries ever resident.
 func (r *RRT) MaxOccupancy() int { return r.maxOcc }
-
-// InsertFailures returns how many registrations were dropped because the
-// table was full.
-func (r *RRT) InsertFailures() uint64 { return r.insertFailures }
-
-// Lookups returns the number of Lookup calls performed.
-func (r *RRT) Lookups() uint64 { return r.lookups }
-
-// Hits returns how many lookups matched an entry.
-func (r *RRT) Hits() uint64 { return r.hits }

@@ -83,20 +83,21 @@ func (r *depRegistry) insertTask(t *Task) {
 	var affRead, affWrite, affReader *Task
 	firstReadSeen := false
 	for _, d := range t.Deps {
+		// Ensure an exact record exists so the dependency is tracked even
+		// if only overlapped partially later.
+		rec := r.record(d.Range)
 		if d.Mode.Reads() && !firstReadSeen {
 			firstReadSeen = true
 			// Reader-affinity: when nobody ever wrote the data (pure
 			// input), schedule near its most recent reader so repeated
 			// scans of the same chunk share a cache. Only the first read
 			// dependency is considered — broadcast data (read by every
-			// task) must not glue the whole program to one core.
-			if rec, ok := r.byKey[d.Key()]; ok && len(rec.readers) > 0 {
+			// task) must not glue the whole program to one core. A new
+			// record has no readers.
+			if len(rec.readers) > 0 {
 				affReader = rec.readers[len(rec.readers)-1]
 			}
 		}
-		// Ensure an exact record exists so the dependency is tracked even
-		// if only overlapped partially later.
-		r.record(d.Range)
 		// One search per dependency: neither loop below mutates ordered,
 		// so both walk the same span.
 		lo, hi := r.span(d.Range)

@@ -165,38 +165,153 @@ func (as *AddressSpace) Touch(r amath.Range) {
 	})
 }
 
-// tlbEntry is one resident translation: the virtual page and its
-// last-use stamp for true-LRU replacement.
-type tlbEntry struct {
-	vp    uint64
-	stamp int
-}
+// MaxTLBEntries is the largest TLB NewTLB builds: the slot links and the
+// page index are uint16, with one value reserved for "no slot".
+const MaxTLBEntries = 1 << 15
+
+// noSlot is the nil link of the TLB's slot list.
+const noSlot = 1<<16 - 1
+
+// fibMul is 2^64 divided by the golden ratio: multiplying a page number
+// by it and keeping the top bits (Fibonacci hashing) spreads strided and
+// contiguous page numbers alike over the index.
+const fibMul = 0x9e3779b97f4a7c15
 
 // TLB is a fully-associative translation lookaside buffer with true-LRU
 // replacement, modelling the paper's 64-entry 1-cycle ITLB/DTLB. The
-// resident set lives in a flat pre-allocated slice rather than a map:
-// at 64 entries a linear scan beats hashing, every operation is
-// allocation-free, and — because stamps are unique — the min-stamp
-// victim scan is deterministic by construction, with no iteration-order
-// tie-break to defend.
+// hardware matches every entry in parallel; the model gets the same
+// constant cost per operation from two small structures over a fixed set
+// of slots, with no scan and no allocation:
+//
+//   - an open-addressed index (linear probing, at most half full) maps a
+//     resident page to its slot+1, 0 marking an empty cell; deletion
+//     shifts the rest of the probe run back instead of leaving
+//     tombstones, so a lookup stops at the first empty cell;
+//   - a doubly linked list threads every slot: the resident ones from
+//     the most recently used (head) to the least, then the free ones. A hit moves its slot to the head; a miss takes the tail,
+//     which is a free slot or, in a full TLB, the least recently used
+//     page; an invalidated slot moves to the tail.
+//
+// Links and index are uint16, so 64 entries take 1 KiB: 512 bytes of
+// pages, 256 of links and 256 of index.
 type TLB struct {
-	entries []tlbEntry // fixed capacity; the first `used` slots are resident
-	used    int
-	stamp   int
+	vp    []uint64 // vp[s]: the virtual page resident in slot s
+	link  []uint16 // link[2s], link[2s+1]: slot s's prev (toward head) and next
+	index []uint16 // hash cell -> resident slot+1; 0 = empty
 
-	// MRU fast path: the slot of the most recently accessed page, so
-	// repeated accesses to one page — 64 consecutive block accesses per
-	// 4KB page in the streaming common case — skip the resident scan.
-	mruIdx int
-	mruOK  bool
+	head, tail uint16 // first and last slot of the list
+	used       uint16 // resident slots: the first used of the list
+	shift      uint8  // 64 - log2(len(index)): home cell = vp*fibMul >> shift
 
 	hits   uint64
 	misses uint64
 }
 
-// NewTLB creates a TLB with the given number of entries.
+// NewTLB creates a TLB with the given number of entries, which must lie
+// in [1, MaxTLBEntries] (arch.Config.Validate enforces the same bound).
 func NewTLB(entries int) *TLB {
-	return &TLB{entries: make([]tlbEntry, entries)}
+	if entries < 1 || entries > MaxTLBEntries {
+		panic(fmt.Sprintf("vm: TLB entries %d outside [1, %d]", entries, MaxTLBEntries))
+	}
+	cells := 2 << amath.Log2(entries) // the least power of two >= 2*entries
+	if cells < 2*entries {
+		cells <<= 1
+	}
+	links := 2 * entries
+	buf := make([]uint16, links+cells) // links and index in one allocation
+	t := &TLB{
+		vp:    make([]uint64, entries),
+		link:  buf[:links:links],
+		index: buf[links:],
+		head:  noSlot,
+		tail:  noSlot,
+		shift: uint8(64 - amath.Log2(cells)),
+	}
+	for s := 0; s < entries; s++ {
+		t.pushBack(uint16(s))
+	}
+	return t
+}
+
+// home returns the index cell a page's probe run starts at.
+func (t *TLB) home(vp uint64) int { return int(vp * fibMul >> t.shift) }
+
+// find returns the index cell holding vp and true, or the empty cell
+// that ends vp's probe run and false.
+func (t *TLB) find(vp uint64) (cell int, ok bool) {
+	mask := len(t.index) - 1
+	for i := t.home(vp); ; i = (i + 1) & mask {
+		v := t.index[i]
+		if v == 0 {
+			return i, false
+		}
+		if t.vp[v-1] == vp {
+			return i, true
+		}
+	}
+}
+
+// cellOf returns the index cell holding the resident slot s.
+func (t *TLB) cellOf(s uint16) int {
+	mask := len(t.index) - 1
+	i := t.home(t.vp[s])
+	for t.index[i] != s+1 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// unindex empties index cell i by backward-shift deletion: each later
+// entry of the probe run whose home does not lie cyclically in (i, j]
+// moves back into the hole, so every resident page stays reachable from
+// its home without crossing an empty cell.
+func (t *TLB) unindex(i int) {
+	mask := len(t.index) - 1
+	t.index[i] = 0
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		h := t.home(t.vp[t.index[j]-1])
+		if (j-h)&mask >= (j-i)&mask { // h is not in (i, j]
+			t.index[i], t.index[j] = t.index[j], 0
+			i = j
+		}
+	}
+}
+
+// unlink removes slot s from the recency list.
+func (t *TLB) unlink(s uint16) {
+	prev, next := t.link[2*int(s)], t.link[2*int(s)+1]
+	if prev == noSlot {
+		t.head = next
+	} else {
+		t.link[2*int(prev)+1] = next
+	}
+	if next == noSlot {
+		t.tail = prev
+	} else {
+		t.link[2*int(next)] = prev
+	}
+}
+
+// pushFront makes slot s the most recently used.
+func (t *TLB) pushFront(s uint16) {
+	t.link[2*int(s)], t.link[2*int(s)+1] = noSlot, t.head
+	if t.head == noSlot {
+		t.tail = s
+	} else {
+		t.link[2*int(t.head)] = s
+	}
+	t.head = s
+}
+
+// pushBack makes slot s the next one a miss takes.
+func (t *TLB) pushBack(s uint16) {
+	t.link[2*int(s)], t.link[2*int(s)+1] = t.tail, noSlot
+	if t.tail == noSlot {
+		t.head = s
+	} else {
+		t.link[2*int(t.tail)+1] = s
+	}
+	t.tail = s
 }
 
 // Access looks up a virtual page, returning whether it hit. On a miss the
@@ -204,58 +319,63 @@ func NewTLB(entries int) *TLB {
 //
 //tdnuca:hotpath
 func (t *TLB) Access(virtPage uint64) bool {
-	t.stamp++
-	if t.mruOK && t.entries[t.mruIdx].vp == virtPage {
-		t.entries[t.mruIdx].stamp = t.stamp
+	// MRU fast path: repeated accesses to one page — 64 consecutive
+	// block accesses per 4KB page in the streaming common case — find it
+	// at the head of the list.
+	if t.used > 0 && t.vp[t.head] == virtPage {
 		t.hits++
 		return true
 	}
-	for i := 0; i < t.used; i++ {
-		if t.entries[i].vp == virtPage {
-			t.entries[i].stamp = t.stamp
-			t.mruIdx, t.mruOK = i, true
-			t.hits++
-			return true
-		}
+	cell, ok := t.find(virtPage)
+	if ok {
+		s := t.index[cell] - 1
+		t.unlink(s)
+		t.pushFront(s)
+		t.hits++
+		return true
 	}
 	t.misses++
-	idx := t.used
-	if t.used < len(t.entries) {
-		t.used++
+	// The new page takes the tail's slot and the empty cell its probe
+	// run ended at. In a full TLB the tail holds the victim, whose cell
+	// goes only after the new page's is filled, so the backward shift
+	// sees the run as it now is.
+	s := t.tail
+	victim := -1
+	if int(t.used) == len(t.vp) {
+		victim = t.cellOf(s)
 	} else {
-		// Evict the LRU entry. Stamps are unique, so the minimum is too:
-		// victim selection cannot depend on scan order.
-		idx = 0
-		for i := 1; i < t.used; i++ {
-			if t.entries[i].stamp < t.entries[idx].stamp {
-				idx = i
-			}
-		}
+		t.used++
 	}
-	t.entries[idx] = tlbEntry{virtPage, t.stamp}
-	t.mruIdx, t.mruOK = idx, true
+	t.vp[s] = virtPage
+	t.index[cell] = s + 1
+	if victim >= 0 {
+		t.unindex(victim)
+	}
+	t.unlink(s)
+	t.pushFront(s)
 	return false
 }
 
 // Flush empties the TLB — the cost model for an address-space switch on
 // a core (the simulated machine has untagged TLBs).
 func (t *TLB) Flush() {
+	clear(t.index)
 	t.used = 0
-	t.mruOK = false
 }
 
 // Invalidate removes a virtual page from the TLB (used by R-NUCA page
 // reclassification shootdowns). It reports whether the page was present.
 func (t *TLB) Invalidate(virtPage uint64) bool {
-	for i := 0; i < t.used; i++ {
-		if t.entries[i].vp == virtPage {
-			t.used--
-			t.entries[i] = t.entries[t.used]
-			t.mruOK = false
-			return true
-		}
+	cell, ok := t.find(virtPage)
+	if !ok {
+		return false
 	}
-	return false
+	s := t.index[cell] - 1
+	t.unindex(cell)
+	t.unlink(s)
+	t.pushBack(s)
+	t.used--
+	return true
 }
 
 // Hits returns the number of TLB hits observed.
@@ -274,7 +394,7 @@ func (t *TLB) HitRatio() float64 {
 }
 
 // Len returns the number of resident entries.
-func (t *TLB) Len() int { return t.used }
+func (t *TLB) Len() int { return int(t.used) }
 
 // RangeTranslation is the result of iteratively translating a virtual
 // range through the TLB: the collapsed physical ranges plus the number of

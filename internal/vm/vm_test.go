@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -312,17 +313,20 @@ func TestTranslateRangeSizeProperty(t *testing.T) {
 	}
 }
 
-// refTLB is a deliberately naive map-based true-LRU reference model. The
-// production TLB keeps its resident set in a flat slice; this test pins
-// the two implementations to identical hit/miss behavior on a long
-// pseudorandom access/invalidate/flush mix, which is exactly the
-// equivalence argument that kept the golden digests unchanged when the
-// map was replaced: stamps are unique, so the min-stamp victim is the
-// same no matter how the resident set is stored or scanned.
+// refTLB is a deliberately naive map-based true-LRU reference model:
+// last-use stamps in a map, the victim found by scanning for the oldest
+// stamp. The production TLB keeps an open-addressed index and an
+// intrusive recency list instead; the tests below pin the two to the
+// same hits, misses and resident set — and the same recency order — on
+// long access/invalidate/flush mixes.
 type refTLB struct {
 	capacity int
 	entries  map[uint64]int
 	stamp    int
+}
+
+func newRefTLB(capacity int) *refTLB {
+	return &refTLB{capacity: capacity, entries: make(map[uint64]int)}
 }
 
 func (r *refTLB) access(vp uint64) bool {
@@ -352,28 +356,204 @@ func (r *refTLB) invalidate(vp uint64) bool {
 	return false
 }
 
+// byRecency returns the reference's resident pages, most recent first.
+func (r *refTLB) byRecency() []uint64 {
+	pages := make([]uint64, 0, len(r.entries))
+	for p := range r.entries {
+		pages = append(pages, p)
+	}
+	sort.Slice(pages, func(i, j int) bool { return r.entries[pages[i]] > r.entries[pages[j]] })
+	return pages
+}
+
+// checkTLB verifies the TLB's internal structure against the reference:
+// the list threads every slot once with consistent back links, its
+// first Len() slots hold the resident pages most recent first in the
+// reference's order, and every resident page — and nothing else — is
+// reachable in the index from its home cell without crossing an empty
+// cell.
+func checkTLB(t *testing.T, step int, tlb *TLB, ref *refTLB) {
+	t.Helper()
+	want := ref.byRecency()
+	if tlb.Len() != len(want) {
+		t.Fatalf("step %d: Len = %d, reference %d", step, tlb.Len(), len(want))
+	}
+	prev, n := uint16(noSlot), 0
+	for s := tlb.head; s != noSlot; s = tlb.link[2*int(s)+1] {
+		if n >= len(tlb.vp) {
+			t.Fatalf("step %d: list longer than the %d slots", step, len(tlb.vp))
+		}
+		if tlb.link[2*int(s)] != prev {
+			t.Fatalf("step %d: slot %d's prev link is %d, want %d", step, s, tlb.link[2*int(s)], prev)
+		}
+		if n < len(want) {
+			if tlb.vp[s] != want[n] {
+				t.Fatalf("step %d: recency position %d holds page %d, reference %d", step, n, tlb.vp[s], want[n])
+			}
+			if cell, ok := tlb.find(tlb.vp[s]); !ok || tlb.index[cell] != s+1 {
+				t.Fatalf("step %d: resident page %d (slot %d) not reachable in the index", step, tlb.vp[s], s)
+			}
+		}
+		prev, n = s, n+1
+	}
+	if n != len(tlb.vp) || tlb.tail != prev {
+		t.Fatalf("step %d: list threads %d of %d slots, tail %d want %d", step, n, len(tlb.vp), tlb.tail, prev)
+	}
+	occupied := 0
+	for _, v := range tlb.index {
+		if v != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(want) {
+		t.Fatalf("step %d: %d index cells occupied for %d resident pages", step, occupied, len(want))
+	}
+}
+
+// pageFamilies returns page pools that stress a TLB of the given size:
+// dense page numbers, multiples of its index size, the top of the 52-bit
+// page space (4 KB pages in a 64-bit address space), and pages whose
+// home cells are the index's last and first, so their probe runs collide
+// and wrap around its end.
+func pageFamilies(entries int) map[string]func(i int) uint64 {
+	probe := NewTLB(entries)
+	cells := len(probe.index)
+	var wrap []uint64
+	for vp := uint64(0); len(wrap) < 4*entries; vp++ {
+		if h := probe.home(vp); h >= cells-2 || h == 0 {
+			wrap = append(wrap, vp)
+		}
+	}
+	return map[string]func(i int) uint64{
+		"dense":      func(i int) uint64 { return uint64(i) },
+		"index-size": func(i int) uint64 { return uint64(i * cells) },
+		"near-2^52":  func(i int) uint64 { return 1<<52 - 1 - uint64(i) },
+		"wrapping":   func(i int) uint64 { return wrap[i%len(wrap)] },
+	}
+}
+
 func TestTLBMatchesReferenceLRU(t *testing.T) {
-	tlb := NewTLB(16)
-	ref := &refTLB{capacity: 16, entries: make(map[uint64]int)}
-	rng := sim.NewRNG(7)
-	for i := 0; i < 200000; i++ {
-		switch op := rng.Intn(100); {
-		case op < 90:
-			vp := uint64(rng.Intn(40)) // working set 2.5x capacity
-			if got, want := tlb.Access(vp), ref.access(vp); got != want {
-				t.Fatalf("step %d: Access(%d) = %v, reference %v", i, vp, got, want)
+	for _, entries := range []int{16, 64} {
+		for name, page := range pageFamilies(entries) {
+			// Working sets below capacity (every miss is cold or follows
+			// an invalidate or flush) and 2.5x above it (eviction).
+			for _, ws := range []int{entries * 3 / 4, entries * 5 / 2} {
+				tlb, ref := NewTLB(entries), newRefTLB(entries)
+				rng := sim.NewRNG(uint64(7 + entries + ws))
+				for i := 0; i < 50000; i++ {
+					vp := page(rng.Intn(ws))
+					switch op := rng.Intn(1000); {
+					case op < 900:
+						if got, want := tlb.Access(vp), ref.access(vp); got != want {
+							t.Fatalf("%d entries, %s, ws %d, step %d: Access(%d) = %v, reference %v", entries, name, ws, i, vp, got, want)
+						}
+					case op < 998:
+						if got, want := tlb.Invalidate(vp), ref.invalidate(vp); got != want {
+							t.Fatalf("%d entries, %s, ws %d, step %d: Invalidate(%d) = %v, reference %v", entries, name, ws, i, vp, got, want)
+						}
+					default:
+						tlb.Flush()
+						ref.entries = make(map[uint64]int)
+					}
+					if i%61 == 0 {
+						checkTLB(t, i, tlb, ref)
+					}
+				}
+				checkTLB(t, -1, tlb, ref)
 			}
-		case op < 98:
-			vp := uint64(rng.Intn(40))
-			if got, want := tlb.Invalidate(vp), ref.invalidate(vp); got != want {
-				t.Fatalf("step %d: Invalidate(%d) = %v, reference %v", i, vp, got, want)
+		}
+	}
+}
+
+// FuzzTLB drives a TLB and the reference with an op stream decoded from
+// the input: byte 0 picks the size (1..80 entries, 64 included), byte 1
+// the page family, and each later pair of bytes one operation and its
+// page. Every operation's result and the full structure must agree.
+func FuzzTLB(f *testing.F) {
+	f.Add([]byte{63, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 3, 0, 1, 0, 2, 0, 1, 200, 1, 255, 0, 0, 1})
+	f.Add([]byte{15, 1, 9, 9, 9, 10, 9, 11, 210, 10, 9, 12, 9, 13})
+	f.Add([]byte{63, 2, 1, 100, 2, 101, 3, 102, 240, 101, 4, 103})
+	f.Add([]byte{1, 3, 5, 0, 6, 1, 7, 2, 220, 1, 8, 0, 255, 0, 9, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		entries := 1 + int(ops[0])%80
+		families := pageFamilies(entries)
+		names := make([]string, 0, len(families))
+		for name := range families {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		page := families[names[int(ops[1])%len(names)]]
+		tlb, ref := NewTLB(entries), newRefTLB(entries)
+		for i := 2; i+1 < len(ops); i += 2 {
+			vp := page(int(ops[i+1]))
+			switch op := ops[i]; {
+			case op < 200:
+				if got, want := tlb.Access(vp), ref.access(vp); got != want {
+					t.Fatalf("op %d: Access(%d) = %v, reference %v", i/2, vp, got, want)
+				}
+			case op < 250:
+				if got, want := tlb.Invalidate(vp), ref.invalidate(vp); got != want {
+					t.Fatalf("op %d: Invalidate(%d) = %v, reference %v", i/2, vp, got, want)
+				}
+			default:
+				tlb.Flush()
+				ref.entries = make(map[uint64]int)
 			}
-		default:
-			tlb.Flush()
-			ref.entries = make(map[uint64]int)
+			checkTLB(t, i/2, tlb, ref)
 		}
-		if tlb.Len() != len(ref.entries) {
-			t.Fatalf("step %d: Len = %d, reference %d", i, tlb.Len(), len(ref.entries))
+	})
+}
+
+// TestTLBAllocFree pins the TLB's operations to zero allocations: the
+// miss path evicts in place, and invalidation and flush only rewrite the
+// preallocated slots, links and index.
+func TestTLBAllocFree(t *testing.T) {
+	tlb := NewTLB(64)
+	vp := uint64(0)
+	for name, op := range map[string]func(){
+		"Access hit":  func() { tlb.Access(1) },
+		"Access miss": func() { vp++; tlb.Access(vp) },
+		"Invalidate":  func() { tlb.Access(vp); tlb.Invalidate(vp) },
+		"Flush":       func() { tlb.Access(vp); tlb.Flush() },
+	} {
+		if n := testing.AllocsPerRun(1000, op); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
 		}
+	}
+}
+
+// BenchmarkTLBAccess times one Access of a 64-entry TLB: a hit on the
+// most recent page, a hit on another resident page, and a miss that
+// evicts the least recently used page.
+func BenchmarkTLBAccess(b *testing.B) {
+	const entries = 64
+	rng := sim.NewRNG(1)
+	resident := make([]uint64, 1024)
+	for i := range resident {
+		resident[i] = uint64(rng.Intn(entries))
+	}
+	for _, bc := range []struct {
+		name string
+		page func(i int) uint64
+	}{
+		{"mru-hit", func(int) uint64 { return 7 }},
+		{"resident-hit", func(i int) uint64 { return resident[i%len(resident)] }},
+		{"miss-evict", func(i int) uint64 { return uint64(entries + i) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tlb := NewTLB(entries)
+			for p := uint64(0); p < entries; p++ {
+				tlb.Access(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tlb.Access(bc.page(i))
+			}
+		})
 	}
 }
